@@ -2,15 +2,14 @@
 
 Unimodality and real-rootedness of the descent polynomials are open
 questions; this module only gathers evidence.  The real-rootedness test is
-an exact decision procedure (square-free reduction, then a Sturm chain
-over a Cauchy root bound, all in rational arithmetic), never a numeric
-root finder.
+an exact decision procedure (a Sturm chain over the integers, its signs read
+at plus and minus infinity), never a numeric root finder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from . import enumeration
 from .counting import CountContext
@@ -60,20 +59,21 @@ def is_unimodal(p: IntPolynomial) -> bool:
 def is_real_rooted(p: IntPolynomial) -> bool:
     """Exact decision: are all complex roots of p real?
 
-    Reduces to the square-free part, then compares its degree against the
-    number of distinct real roots counted by a Sturm chain evaluated at
-    +-(Cauchy bound).  Constants (no roots) decide True.
+    Builds the Sturm chain of p itself over the integers.  Its last member
+    is gcd(p, p') up to a positive factor, so p has deg p - deg(last)
+    distinct roots; the sign variations of the chain at -infinity and
+    +infinity, read from leading coefficients and degree parity, count the
+    real ones among them.  Constants (no roots) decide True.
     """
     if not p.coeffs:
         raise DomainError("the zero polynomial has no root multiset to decide")
-    poly = [Fraction(c) for c in p.coeffs]
-    square_free = _fp_quotient(poly, _fp_gcd(poly, _fp_derivative(poly)))
-    deg = len(square_free) - 1
-    if deg <= 0:
+    if p.degree == 0:
         return True
-    chain = _sturm_chain(square_free)
-    bound = _cauchy_bound(square_free)
-    return _sign_variations(chain, -bound) - _sign_variations(chain, bound) == deg
+    chain = _sturm_chain(list(p.coeffs))
+    at_plus = [1 if q[-1] > 0 else -1 for q in chain]
+    at_minus = [s if len(q) % 2 else -s for s, q in zip(at_plus, chain)]
+    distinct = p.degree - (len(chain[-1]) - 1)
+    return _sign_variations(at_minus) - _sign_variations(at_plus) == distinct
 
 
 @dataclass(frozen=True)
@@ -102,80 +102,38 @@ def conjecture_report(
     return rows
 
 
-# -- dense rational polynomial helpers (ascending coefficients) --
+# -- integer Sturm chain (ascending coefficients) --
 
 
-def _fp_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p', then negated pseudo-remainders divided by their positive content.
+
+    Every member is a positive multiple of the classical Sturm member, so
+    every sign is kept; the last one is gcd(p, p') up to a positive factor.
+    """
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while True:
+        rem = _pseudo_remainder(chain[-2], chain[-1])
+        if not rem:
+            return chain
+        content = gcd(*rem)
+        chain.append([-c // content for c in rem])
 
 
-def _fp_derivative(p: list[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(p)][1:]
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of |lc(b)|^(deg a - deg b + 1) * a divided by b."""
+    scale = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    rem = list(a)
+    for shift in range(len(a) - len(b), -1, -1):
+        top = sign * rem.pop()  # the coefficient of t^(shift + deg b)
+        rem = [scale * c for c in rem]
+        for i, c in enumerate(b[:-1]):
+            rem[shift + i] -= top * c
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
 
 
-def _fp_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = _fp_trim(list(a))
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        shift = len(rem) - len(b)
-        factor = rem[-1] / lead
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem.pop()  # leading term cancelled exactly
-        _fp_trim(rem)
-    return _fp_trim(quo), rem
-
-
-def _fp_quotient(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    quo, rem = _fp_divmod(a, b)
-    if rem:
-        raise AssertionError("expected exact polynomial division")
-    return quo
-
-
-def _fp_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _fp_trim(list(a)), _fp_trim(list(b))
-    while b:
-        _, r = _fp_divmod(a, b)
-        a, b = b, r
-    if not a:
-        raise AssertionError("gcd of two zero polynomials")
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _fp_evaluate(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [list(p), _fp_derivative(p)]
-    while len(chain[-1]) > 1:
-        _, r = _fp_divmod(chain[-2], chain[-1])
-        if not r:
-            break  # square-free input: only a constant remainder ends the chain
-        chain.append([-c for c in r])
-    return chain
-
-
-def _cauchy_bound(p: list[Fraction]) -> Fraction:
-    lead = abs(p[-1])
-    return 1 + max(abs(c) for c in p) / lead
-
-
-def _sign_variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = _fp_evaluate(poly, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _sign_variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 
@@ -23,7 +24,6 @@ from .errors import (
     BudgetExceededError,
     ConvergenceError,
     FlatstirError,
-    NonIntegralCoefficientError,
     SequenceUnavailableError,
 )
 from .partitions import parse_partition, partition_from_json
@@ -47,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("budget", exc, EXIT_RESOURCE)
     except (SequenceUnavailableError, AlignmentError, BFileParseError) as exc:
         return _fail("network", exc, EXIT_NETWORK)
-    except (ConvergenceError, NonIntegralCoefficientError) as exc:
+    except ConvergenceError as exc:
         # exact/numeric cross-checks disagreeing is a verification failure
         return _fail("internal", exc, EXIT_MISMATCH)
     except (ConfigError, FlatstirError, ValueError) as exc:
@@ -281,17 +281,13 @@ def cmd_poly(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_egf(args: argparse.Namespace, cfg: Config) -> int:
     order = args.order if args.order is not None else cfg.truncation_order
     egf = series.egf_flattened(args.k, order)
-    fractions = [_frac_str(c) for c in egf.coeffs]
+    fractions = [str(Fraction(egf.egf_coefficient(n), factorial(n))) for n in range(order + 1)]
     if args.format == "json":
         print(json.dumps({"k": args.k, "order": order, "coefficients": fractions}))
     else:
         for n, text in enumerate(fractions):
             print(f"{n} {text}")
     return EXIT_OK
-
-
-def _frac_str(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
 
 
 def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:

@@ -45,13 +45,6 @@ class ConvergenceError(FlatstirError, RuntimeError):
     """A numeric series evaluation failed to converge within its term cap."""
 
 
-class NonIntegralCoefficientError(FlatstirError, RuntimeError):
-    """An extraction that must clear denominators produced a non-integer.
-
-    Signals an internal series bug, never bad user input.
-    """
-
-
 class BFileParseError(FlatstirError, ValueError):
     """A b-file line could not be parsed; message carries the line number."""
 

@@ -246,12 +246,17 @@ def _read_pins(cache_dir: str) -> dict[str, int]:
         return {}
     pins = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            pins[key.strip()] = int(value.strip())
+            try:
+                pins[key.strip()] = int(value.strip())
+            except ValueError:
+                raise AlignmentError(
+                    f"{path}:{lineno}: expected 'sequence=offset', got {line!r}"
+                ) from None
     return pins
 
 

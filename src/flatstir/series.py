@@ -1,30 +1,31 @@
-"""Truncated power series over exact rationals and the concrete EGFs.
+"""Exponential generating functions with integer coefficients.
 
-Coefficients are stored as ordinary rationals a_n; the EGF convention
-(series sum of c_n z^n / n!) is applied only at extraction, where the
-coefficient is multiplied by n!.  Arithmetic never silently changes the
-truncation order: binary operations truncate to the shorter operand.
+A series is stored by its EGF-normalised coefficients: entry n is the
+integer polynomial in t equal to n! [z^n].  Every series built here comes
+from the exponential formula over weighted labelled structures, so these
+entries are integers and no denominator is ever carried.  A univariate EGF
+is the case where every entry is a constant.  Binary operations truncate
+to the shorter operand.
 
-Three concrete generating functions live here:
+Two concrete generating functions live here:
 
-  * egf_flattened(k):  exp((k-1) z + (exp(kz) - 1)/k); n! a_n counts the
+  * egf_flattened(k):  exp((k-1) z + (exp(kz) - 1)/k); entry n counts the
     flattened words of order n+1.
-  * h_series(j):  sum of S(n-1, j) z^n / n!.
-  * descent_egf(k):  the bivariate series in z whose z^n coefficient,
-    times n!, is the descent polynomial over flattened words of order
-    n+1; built as (t(e^z-1)+1)^(k-1) * exp(z + sum_j k!/(k-j)! H_j t^j).
+  * descent_egf(k):  (t(e^z-1)+1)^(k-1) * exp(z + sum_j k!/(k-j)! H_j t^j)
+    with H_j = sum_n S(n-1, j) z^n / n!; entry n is the descent polynomial
+    over flattened words of order n+1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from typing import Sequence
 
 from .counting import CountContext, stirling2
-from .errors import DomainError, NonIntegralCoefficientError
+from .errors import DomainError
 
-TPoly = tuple[Fraction, ...]  # polynomial in t, ascending powers, trimmed
+TPoly = tuple[int, ...]  # polynomial in t, ascending powers, trimmed
 
 
 @dataclass(frozen=True)
@@ -38,37 +39,11 @@ class IntPolynomial:
 
     def __post_init__(self):
         if self.coeffs and self.coeffs[-1] == 0:
-            trimmed = list(self.coeffs)
-            while trimmed and trimmed[-1] == 0:
-                trimmed.pop()
-            object.__setattr__(self, "coeffs", tuple(trimmed))
+            object.__setattr__(self, "coeffs", _trim(self.coeffs))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return IntPolynomial(
-            tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
-        )
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return IntPolynomial(tuple(out))
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def reversed(self) -> "IntPolynomial":
         return IntPolynomial(tuple(reversed(self.coeffs)))
@@ -89,275 +64,109 @@ class IntPolynomial:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Power series truncated at z^N, exact rational ordinary coefficients."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise DomainError("a truncated series needs at least the z^0 coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, n: int) -> Fraction:
-        return self.coeffs[n]
-
-    def egf_coefficient(self, n: int) -> Fraction:
-        """n! times the ordinary coefficient: the EGF-counted value."""
-        return self.coeffs[n] * factorial(n)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            if a[i] == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += a[i] * b[j]
-        return TruncatedSeries(tuple(out))
-
-    def scale(self, c) -> "TruncatedSeries":
-        c = Fraction(c)
-        return TruncatedSeries(tuple(x * c for x in self.coeffs))
-
-    def __pow__(self, e: int) -> "TruncatedSeries":
-        if e < 0:
-            raise DomainError("negative series powers are not supported")
-        result = TruncatedSeries.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def exp(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term, by the derivative
-        recurrence (n+1) g_{n+1} = sum_i (i+1) a_{i+1} g_{n-i}."""
-        if self.coeffs[0] != 0:
-            raise DomainError("series_exp needs a zero constant term")
-        n_max = self.order
-        a = self.coeffs
-        g = [Fraction(1)] + [Fraction(0)] * n_max
-        for n in range(n_max):
-            acc = Fraction(0)
-            for i in range(n + 1):
-                acc += (i + 1) * a[i + 1] * g[n - i]
-            g[n + 1] = acc / (n + 1)
-        return TruncatedSeries(tuple(g))
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls((Fraction(0),) * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls((Fraction(1),) + (Fraction(0),) * order)
-
-    @classmethod
-    def exponential(cls, c, order: int) -> "TruncatedSeries":
-        """e^(cz): ordinary coefficients c^n / n!."""
-        c = Fraction(c)
-        return cls(tuple(c**n / factorial(n) for n in range(order + 1)))
-
-
-def egf_flattened(k: int, order: int, ctx: CountContext | None = None) -> TruncatedSeries:
-    """F_k(z) = exp((k-1) z + (exp(kz) - 1)/k), truncated.
-
-    n! a_n equals the number of flattened k-Stirling words of order n+1.
-    """
-    if k < 1 or order < 0:
-        raise DomainError(f"need k >= 1 and order >= 0, got k={k}, order={order}")
-    inner = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1):
-        inner[n] = Fraction(k ** (n - 1), factorial(n))
-    if order >= 1:
-        inner[1] += k - 1
-    return TruncatedSeries(tuple(inner)).exp()
-
-
-def h_series(j: int, order: int, ctx: CountContext | None = None) -> TruncatedSeries:
-    """H_j(z) = sum_n S(n-1, j) z^n / n!, with S(m, j) = 0 for m < 0."""
-    if j < 1:
-        raise DomainError(f"need j >= 1, got {j}")
-    ctx = ctx or CountContext()
-    return TruncatedSeries(
-        tuple(Fraction(stirling2(n - 1, j, ctx), factorial(n)) for n in range(order + 1))
-    )
-
-
-def _tp_trim(p: list[Fraction]) -> TPoly:
+def _trim(p) -> TPoly:
+    p = list(p)
     while p and p[-1] == 0:
         p.pop()
     return tuple(p)
 
 
-def _tp_add(a: TPoly, b: TPoly) -> TPoly:
-    n = max(len(a), len(b))
-    return _tp_trim(
-        [(a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0)) for i in range(n)]
-    )
-
-
-def _tp_mul(a: TPoly, b: TPoly) -> TPoly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _tp_trim(out)
-
-
-def _tp_scale(a: TPoly, c: Fraction) -> TPoly:
-    if c == 0:
-        return ()
-    return tuple(x * c for x in a)
+def _binomial_convolution(a: Sequence[TPoly], b: Sequence[TPoly], n: int) -> TPoly:
+    """sum_{i=0}^{n} C(n, i) a_i b_{n-i}, products taken in t."""
+    acc = [0] * max(len(a[i]) + len(b[n - i]) for i in range(n + 1))
+    for i in range(n + 1):
+        c = comb(n, i)
+        for d, x in enumerate(a[i]):
+            if x:
+                cx = c * x
+                for e, y in enumerate(b[n - i], start=d):
+                    acc[e] += cx * y
+    return _trim(acc)
 
 
 @dataclass(frozen=True)
-class BivariateSeries:
-    """Series in z truncated at z^N whose coefficients are polynomials in t.
+class EgfSeries:
+    """Series in z truncated at z^N, stored as n! [z^n] for n = 0..N.
 
-    The t-degree is never truncated; it stays small (bounded by the
-    maximum descent count at each order) in every use here.
+    Each entry is an integer polynomial in t.  The t-degree is never
+    truncated; it stays small (bounded by the maximum descent count at each
+    order) in every use here.
     """
 
     coeffs: tuple[TPoly, ...]
 
     def __post_init__(self):
         if not self.coeffs:
-            raise DomainError("a bivariate series needs at least the z^0 coefficient")
-        object.__setattr__(
-            self, "coeffs", tuple(_tp_trim([Fraction(c) for c in p]) for p in self.coeffs)
-        )
+            raise DomainError("a series needs at least the z^0 coefficient")
+        object.__setattr__(self, "coeffs", tuple(_trim(p) for p in self.coeffs))
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int) -> TPoly:
-        return self.coeffs[n]
+    def egf_coefficient(self, n: int) -> int:
+        """n! [z^n] at t = 1: for a univariate EGF, the counted value."""
+        return sum(self.coeffs[n])
 
-    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        n = min(self.order, other.order)
-        return BivariateSeries(tuple(_tp_add(self.coeffs[i], other.coeffs[i]) for i in range(n + 1)))
+    def __mul__(self, other: "EgfSeries") -> "EgfSeries":
+        """The EGF product: entry n is sum_i C(n, i) A_i B_{n-i}."""
+        n_max = min(self.order, other.order)
+        return EgfSeries(
+            tuple(_binomial_convolution(self.coeffs, other.coeffs, n) for n in range(n_max + 1))
+        )
 
-    def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
-        n = min(self.order, other.order)
-        out: list[TPoly] = []
-        for i in range(n + 1):
-            acc: TPoly = ()
-            for j in range(i + 1):
-                acc = _tp_add(acc, _tp_mul(self.coeffs[j], other.coeffs[i - j]))
-            out.append(acc)
-        return BivariateSeries(tuple(out))
-
-    def __pow__(self, e: int) -> "BivariateSeries":
-        if e < 0:
-            raise DomainError("negative series powers are not supported")
-        result = BivariateSeries.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def exp(self) -> "BivariateSeries":
-        """exp by the z-derivative recurrence; the z^0 coefficient must be
-        the zero polynomial (zero constant term in the combined grading)."""
+    def exp(self) -> "EgfSeries":
+        """exp of a series with zero z^0 entry, by the convolution
+        G_{n+1} = sum_i C(n, i) A_{i+1} G_{n-i}."""
         if self.coeffs[0]:
-            raise DomainError("bivariate exp needs a zero z^0 coefficient")
-        n_max = self.order
-        a = self.coeffs
-        g: list[TPoly] = [(Fraction(1),)] + [()] * n_max
-        for n in range(n_max):
-            acc: TPoly = ()
-            for i in range(n + 1):
-                acc = _tp_add(acc, _tp_scale(_tp_mul(a[i + 1], g[n - i]), Fraction(i + 1)))
-            g[n + 1] = _tp_scale(acc, Fraction(1, n + 1))
-        return BivariateSeries(tuple(g))
-
-    def eval_t(self, value) -> TruncatedSeries:
-        """Substitute a rational for t, collapsing to a univariate series."""
-        x = Fraction(value)
-        out = []
-        for p in self.coeffs:
-            acc = Fraction(0)
-            for c in reversed(p):
-                acc = acc * x + c
-            out.append(acc)
-        return TruncatedSeries(tuple(out))
-
-    @classmethod
-    def one(cls, order: int) -> "BivariateSeries":
-        return cls(((Fraction(1),),) + ((),) * order)
+            raise DomainError("exp needs a zero z^0 coefficient")
+        shifted = self.coeffs[1:]
+        g: list[TPoly] = [(1,)]
+        for n in range(self.order):
+            g.append(_binomial_convolution(shifted, g, n))
+        return EgfSeries(tuple(g))
 
 
-def descent_egf(k: int, order: int, ctx: CountContext | None = None) -> BivariateSeries:
+def _check_k_order(k: int, order: int) -> None:
+    if k < 1 or order < 0:
+        raise DomainError(f"need k >= 1 and order >= 0, got k={k}, order={order}")
+
+
+def egf_flattened(k: int, order: int, ctx: CountContext | None = None) -> EgfSeries:
+    """F_k(z) = exp((k-1) z + (exp(kz) - 1)/k), truncated.
+
+    Entry n equals the number of flattened k-Stirling words of order n+1.
+    The exponent has entries A_1 = k and A_n = k^(n-1).
+    """
+    _check_k_order(k, order)
+    exponent = ((),) + tuple((k if n == 1 else k ** (n - 1),) for n in range(1, order + 1))
+    return EgfSeries(exponent).exp()
+
+
+def descent_egf(k: int, order: int, ctx: CountContext | None = None) -> EgfSeries:
     """The bivariate EGF of descent polynomials over flattened words.
 
     (t(e^z - 1) + 1)^(k-1) * exp(z + sum_{j=1}^{k} k!/(k-j)! H_j(z) t^j);
-    n! times the z^n coefficient is the descent polynomial at order n+1.
+    entry n is the descent polynomial at order n+1.  The exponent has
+    entries A_n = [n=1] + sum_j k!/(k-j)! S(n-1, j) t^j, and the weight has
+    entries sum_j C(k-1, j) j! S(n, j) t^j.
     """
-    if k < 1 or order < 0:
-        raise DomainError(f"need k >= 1 and order >= 0, got k={k}, order={order}")
+    _check_k_order(k, order)
     ctx = ctx or CountContext()
-    weight = BivariateSeries(
-        ((Fraction(1),),)
-        + tuple((Fraction(0), Fraction(1, factorial(n))) for n in range(1, order + 1))
+    weight = tuple(
+        tuple(comb(k - 1, j) * factorial(j) * stirling2(n, j, ctx) for j in range(k))
+        for n in range(order + 1)
     )
-    arg_coeffs: list[TPoly] = []
-    for n in range(order + 1):
-        poly = [Fraction(0)] * (k + 1)
-        if n == 1:
-            poly[0] = Fraction(1)
-        for j in range(1, k + 1):
-            falling = factorial(k) // factorial(k - j)
-            poly[j] = Fraction(falling * stirling2(n - 1, j, ctx), factorial(n))
-        arg_coeffs.append(tuple(poly))
-    return weight ** (k - 1) * BivariateSeries(tuple(arg_coeffs)).exp()
+    falling = [factorial(k) // factorial(k - j) for j in range(k + 1)]
+    exponent = ((),) + tuple(
+        (int(n == 1),) + tuple(falling[j] * stirling2(n - 1, j, ctx) for j in range(1, k + 1))
+        for n in range(1, order + 1)
+    )
+    return EgfSeries(weight) * EgfSeries(exponent).exp()
 
 
-def extract_descent_polynomial(b: BivariateSeries, n: int) -> IntPolynomial:
-    """n! times the z^n coefficient of b, cleared to integers.
-
-    Raises NonIntegralCoefficientError when a denominator fails to clear
-    or a coefficient is negative: both indicate a series bug, not input
-    error.
-    """
-    if n > b.order:
+def extract_descent_polynomial(b: EgfSeries, n: int) -> IntPolynomial:
+    """Entry n of b, n! [z^n], as an integer polynomial in t."""
+    if not 0 <= n <= b.order:
         raise DomainError(f"series truncated at z^{b.order}, cannot extract z^{n}")
-    f = factorial(n)
-    cleared = [c * f for c in b.coefficient(n)]
-    bad = [c for c in cleared if c.denominator != 1 or c < 0]
-    if bad:
-        raise NonIntegralCoefficientError(
-            f"z^{n} extraction produced non-integral or negative coefficients: {cleared}"
-        )
-    return IntPolynomial(tuple(int(c) for c in cleared))
+    return IntPolynomial(b.coeffs[n])

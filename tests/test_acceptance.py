@@ -8,35 +8,19 @@ exact equality at the stated ranges.
 import tempfile
 import time
 from contextlib import contextmanager
-from fractions import Fraction
-from math import factorial
 
 import pytest
 
 import flatstir as fs
-from flatstir.series import BivariateSeries
-
-TOTALS_K2 = {1: 1, 2: 2, 3: 6, 4: 24, 5: 116, 6: 648, 7: 4088, 8: 28640, 9: 219920, 10: 1832224}
-RUNS_K2 = {
-    1: (1,),
-    2: (1, 1),
-    3: (1, 5),
-    4: (1, 15, 8),
-    5: (1, 37, 70, 8),
-    6: (1, 83, 374, 190),
-    7: (1, 177, 1596, 2034, 280),
-    8: (1, 367, 6012, 15260, 6720, 280),
-}
-PUBLISHED_POLYS = {
-    (3, 3): (1, 9, 2),
-    (4, 3): (1, 26, 36),
-    (5, 3): (1, 63, 251, 90),
-    (3, 4): (1, 13, 6),
-    (4, 4): (1, 37, 84, 6),
-    (5, 4): (1, 89, 546, 372),
-}
-EXAMPLE_WORD = "1 2 2 2 2 6 6 6 6 1 4 4 4 4 1 1 3 3 3 3 5 5 5 5"
-EXAMPLE_PARTITION = "1_1 2_3 4_2 6_3 | 3_1 | 5_1"
+from flatstir.verify import (
+    REFERENCE_DESCENT_POLYS,
+    REFERENCE_RUNS_K2,
+    REFERENCE_TOTALS_K2,
+    WORKED_EXAMPLE_PARTITION,
+    WORKED_EXAMPLE_WORD,
+    closed_form_k1,
+    closed_form_k2,
+)
 
 
 @contextmanager
@@ -79,7 +63,7 @@ def test_criterion_01_totals_three_routes(capsys, actx):
         start = time.monotonic()
         egf = fs.egf_flattened(2, 9, actx)
         for n in range(1, 11):
-            expected = TOTALS_K2[n]
+            expected = REFERENCE_TOTALS_K2[n]
             assert fs.count_flattened_recurrence(n, 2, actx) == expected
             assert fs.count_flattened_identity(n, 2, actx) == expected
             assert egf.egf_coefficient(n - 1) == expected
@@ -90,8 +74,8 @@ def test_criterion_02_run_refinement(capsys, dist_k2):
     rows, seconds = dist_k2
     with criterion(capsys, "2: brute-force run refinement, k=2, n<=8"):
         for n in range(1, 9):
-            assert rows[n].run_refined == RUNS_K2[n], f"n={n}"
-            assert rows[n].total == TOTALS_K2[n]
+            assert rows[n].run_refined == REFERENCE_RUNS_K2[n], f"n={n}"
+            assert rows[n].total == REFERENCE_TOTALS_K2[n]
         assert seconds < 150.0, f"enumeration took {seconds:.0f}s"
 
 
@@ -109,8 +93,8 @@ def test_criterion_03_round_trip_and_image(capsys):
 
 def test_criterion_04_worked_example(capsys):
     with criterion(capsys, "4: worked-example regression, both directions"):
-        p = fs.parse_partition(EXAMPLE_PARTITION, 4)
-        w = fs.parse_word(EXAMPLE_WORD, 4)
+        p = fs.parse_partition(WORKED_EXAMPLE_PARTITION, 4)
+        w = fs.parse_word(WORKED_EXAMPLE_WORD, 4)
         assert fs.phi(p) == w
         assert "".join(str(v) for v in fs.phi(p).letters) == "122226666144441133335555"
         assert fs.phi_inverse(w) == p
@@ -146,7 +130,7 @@ def test_criterion_06_descent_egf_vs_bruteforce(capsys, actx):
                 extracted = fs.extract_descent_polynomial(egf, n - 1)
                 brute = fs.descent_polynomial_bruteforce(n, k)
                 assert extracted == brute, f"n={n}, k={k}"
-        for (n, k), coeffs in PUBLISHED_POLYS.items():
+        for (n, k), coeffs in REFERENCE_DESCENT_POLYS.items():
             egf = fs.descent_egf(k, n - 1, actx)
             assert fs.extract_descent_polynomial(egf, n - 1).coeffs == coeffs
 
@@ -154,27 +138,14 @@ def test_criterion_06_descent_egf_vs_bruteforce(capsys, actx):
 def test_criterion_07_specializations(capsys, actx):
     with criterion(capsys, "7: closed forms at k=1,2 and the t->1 collapse"):
         order = 20
-        arg1 = [()] + [
-            ((Fraction(1),) if n == 1 else (Fraction(0), Fraction(1, factorial(n))))
-            for n in range(1, order + 1)
-        ]
-        assert fs.descent_egf(1, order, actx) == BivariateSeries(tuple(arg1)).exp()
-
-        arg2 = [()]
-        for n in range(1, order + 1):
-            h1 = Fraction(1, factorial(n)) if n >= 2 else Fraction(0)
-            h2 = Fraction(2**n - 4, 4 * factorial(n)) if n >= 2 else Fraction(0)
-            arg2.append((Fraction(1 if n == 1 else 0), 2 * h1, 2 * h2))
-        weight = BivariateSeries(
-            ((Fraction(1),),)
-            + tuple((Fraction(0), Fraction(1, factorial(n))) for n in range(1, order + 1))
-        )
-        expected2 = weight * BivariateSeries(tuple(arg2)).exp()
-        assert fs.descent_egf(2, order, actx) == expected2
+        assert fs.descent_egf(1, order, actx) == closed_form_k1(order)
+        assert fs.descent_egf(2, order, actx) == closed_form_k2(order)
 
         for k in range(1, 6):
-            collapsed = fs.descent_egf(k, 25, actx).eval_t(1)
-            assert collapsed == fs.egf_flattened(k, 25, actx), f"k={k}"
+            bivariate = fs.descent_egf(k, 25, actx)
+            univariate = fs.egf_flattened(k, 25, actx)
+            collapsed = [bivariate.egf_coefficient(n) for n in range(26)]
+            assert collapsed == [univariate.egf_coefficient(n) for n in range(26)], f"k={k}"
 
 
 def test_criterion_08_numeric_series(capsys, actx):
@@ -195,11 +166,13 @@ def test_criterion_09_bell_reduction(capsys, actx):
 
 def test_criterion_10_oeis(capsys, actx):
     with criterion(capsys, "10: sequence cross-checks, fetched and offline"):
-        for k in (2, 3, 4):
-            report = fs.cross_check(k, 9, ctx=actx)  # falls back if the network is absent
-            assert report.all_match, f"k={k} via {report.source}"
-            if k == 2:
-                assert report.compared >= 10
+        with tempfile.TemporaryDirectory() as tmp:
+            for k in (2, 3, 4):
+                # falls back if the network is absent
+                report = fs.cross_check(k, 9, cache_dir=tmp, ctx=actx)
+                assert report.all_match, f"k={k} via {report.source}"
+                if k == 2:
+                    assert report.compared >= 10
         with tempfile.TemporaryDirectory() as tmp:
             for k in (2, 3, 4):
                 offline = fs.cross_check(k, 9, offline=True, cache_dir=tmp, ctx=actx)

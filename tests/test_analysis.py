@@ -100,6 +100,31 @@ def test_reversal_invariance_random(coeffs):
     assert is_real_rooted(p) == is_real_rooted(p.reversed())
 
 
+def _product(factors):
+    out = [1]
+    for f in factors:
+        acc = [0] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                acc[i + j] += x * y
+        out = acc
+    return tuple(out)
+
+
+# b + a*t with a != 0, and how many times it divides the product
+_linear_factor = st.tuples(st.integers(-6, 6), st.integers(-6, 6).filter(bool))
+
+
+@given(
+    st.lists(st.tuples(_linear_factor, st.integers(1, 3)), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=9),
+)
+def test_known_answers_with_repeated_roots(factors, c):
+    real = _product([list(f) for f, repeats in factors for _ in range(repeats)])
+    assert is_real_rooted(IntPolynomial(real))
+    assert not is_real_rooted(IntPolynomial(_product([real, (c, 0, 1)])))  # times t^2 + c
+
+
 class TestJointDistribution:
     def test_single_word(self):
         assert joint_distribution(1, 2) == {(0, 1, 0): 1}

@@ -220,6 +220,15 @@ class TestOeis:
         assert code == 1
         assert "MISMATCH" in out
 
+    def test_corrupt_pin_names_file_and_line(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        pins = tmp_path / "offsets.conf"
+        pins.write_text("# pinned offsets\nA007405=abc\n")
+        code, out, err = run(capsys, "oeis", "--k", "2", "--offline")
+        assert code == 4
+        assert out == ""
+        assert f"{pins}:2" in err
+
 
 class TestConjecture:
     def test_markdown(self, capsys):
