@@ -23,6 +23,7 @@ from .errors import (
     BFileParseError,
     BudgetExceededError,
     ConvergenceError,
+    DomainError,
     FlatstirError,
     SequenceUnavailableError,
 )
@@ -97,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("bijection", help="map stdin through the bijection")
@@ -145,6 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_order(flag: str, value: int) -> None:
+    """Orders start at 1; name the user's flag, not a series order derived from it."""
+    if value < 1:
+        raise DomainError(f"{flag} must be >= 1, got {value}")
+
+
 def _budget(args: argparse.Namespace, cfg: Config) -> int:
     return args.budget if getattr(args, "budget", None) is not None else cfg.budget
 
@@ -168,6 +173,7 @@ def cmd_enumerate(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
+    _require_order("--n", args.n)
     ctx = CountContext()
     if args.method == "recurrence":
         print(counting.count_flattened_recurrence(args.n, args.k, ctx))
@@ -194,15 +200,8 @@ def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
-    table = counting.count_table(
-        args.k, args.max_n, budget=_budget(args, cfg), force=args.force
-    )
-    skipped = [row.n for row in table.rows if row.run_refined is None]
-    if skipped:
-        print(
-            f"note: run-refined columns skipped beyond the budget at n={skipped}",
-            file=sys.stderr,
-        )
+    _require_order("--max-n", args.max_n)
+    table = counting.count_table(args.k, args.max_n)
     if args.format == "json":
         payload = {
             "k": table.k,
@@ -211,21 +210,20 @@ def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
                     "n": row.n,
                     "stirling_words": enumeration.predicted_stirling_count(row.n, table.k),
                     "total": row.total,
-                    "runs": list(row.run_refined) if row.run_refined is not None else None,
+                    "runs": list(row.run_refined),
                 }
                 for row in table.rows
             ],
         }
         print(json.dumps(payload))
         return EXIT_OK
-    width = max((len(row.run_refined or ())) for row in table.rows)
+    width = max(len(row.run_refined) for row in table.rows)
     header = ["n", "words", "flattened"] + [f"runs={s}" for s in range(1, width + 1)]
     body = []
     for row in table.rows:
-        refined = list(row.run_refined) if row.run_refined is not None else []
         cells = [str(row.n), str(enumeration.predicted_stirling_count(row.n, table.k)),
                  str(row.total)]
-        cells += [str(c) for c in refined] + [""] * (width - len(refined))
+        cells += [str(c) for c in row.run_refined] + [""] * (width - len(row.run_refined))
         body.append(cells)
     if args.format == "csv":
         print(",".join(header))
@@ -263,6 +261,7 @@ def cmd_bijection(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_poly(args: argparse.Namespace, cfg: Config) -> int:
+    _require_order("--n", args.n)
     ctx = CountContext()
     if args.method == "egf":
         egf = series.descent_egf(args.k, args.n - 1, ctx)
@@ -344,6 +343,7 @@ def cmd_oeis(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_conjecture(args: argparse.Namespace, cfg: Config) -> int:
+    _require_order("--max-n", args.max_n)
     rows = analysis.conjecture_report(args.k, args.max_n)
     if args.format == "json":
         payload = [

@@ -5,6 +5,11 @@ number identity, and an EGF coefficient in `series`); closed forms cover
 words with two runs, three runs, and the k=2 maximum-run case.  All are
 cross-checked against brute-force enumeration in the test suite.
 
+`count_table` reads its run refinements off the descent EGF (runs =
+descents + 1) and never enumerates, so every `CountTableRow` carries a
+refinement; `run_distribution_bruteforce` is the enumeration oracle that
+tests and `verify` hold the table to.
+
 All arithmetic is exact arbitrary-precision integers except the explicit
 series approximation, which evaluates a convergent positive series in
 precision-controlled floating point and must round to the exact count.
@@ -21,7 +26,7 @@ from math import comb, factorial
 
 import mpmath
 
-from .errors import BudgetExceededError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 
 
 @dataclass
@@ -208,16 +213,15 @@ def max_runs_bound(n: int, k: int) -> int:
 class CountTableRow:
     """One order: total count plus counts refined by run number (s >= 1).
 
-    run_refined is None when the brute-force refinement was skipped
-    (budget); otherwise it must sum to the total.
+    The refinement must sum to the total.
     """
 
     n: int
     total: int
-    run_refined: tuple[int, ...] | None
+    run_refined: tuple[int, ...]
 
     def __post_init__(self):
-        if self.run_refined is not None and sum(self.run_refined) != self.total:
+        if sum(self.run_refined) != self.total:
             raise AssertionError(
                 f"run refinement {self.run_refined} does not sum to total {self.total}"
             )
@@ -247,39 +251,36 @@ def run_distribution_bruteforce(
         s = word_stats(w).runs
         counts[s] = counts.get(s, 0) + 1
         total += 1
-    bound = max_runs_bound(n, k)
     top = max(counts) if counts else 0
-    if top > bound:
-        raise AssertionError(f"observed {top} runs, beyond the proven bound {bound}")
+    _check_run_bound(n, k, top)
     refined = tuple(counts.get(s, 0) for s in range(1, top + 1))
     return CountTableRow(n, total, refined)
 
 
-def count_table(
-    k: int,
-    max_n: int,
-    *,
-    ctx: CountContext | None = None,
-    budget: int | None = None,
-    force: bool = False,
-) -> CountTable:
-    """Totals for n=1..max_n with run refinements where the budget allows."""
+def count_table(k: int, max_n: int, *, ctx: CountContext | None = None) -> CountTable:
+    """Totals and run-refined counts for n=1..max_n, without enumeration.
+
+    Runs = descents + 1, so the refinement at order n is the descent
+    polynomial, entry n-1 of one descent EGF.  The total comes from the
+    recurrence, and each row's sum check holds the two routes to each other.
+    """
+    from . import series  # local import: series depends on this module
+
     _check_nk(max_n, k)
     ctx = ctx or CountContext()
+    egf = series.descent_egf(k, max_n - 1, ctx)
     rows = []
     for n in range(1, max_n + 1):
-        total = count_flattened_recurrence(n, k, ctx)
-        try:
-            row = run_distribution_bruteforce(n, k, budget=budget, force=force)
-        except BudgetExceededError:
-            row = CountTableRow(n, total, None)
-        else:
-            if row.total != total:
-                raise AssertionError(
-                    f"brute force total {row.total} != recurrence {total} at n={n}, k={k}"
-                )
-        rows.append(row)
+        refined = egf.coeffs[n - 1]
+        _check_run_bound(n, k, len(refined))
+        rows.append(CountTableRow(n, count_flattened_recurrence(n, k, ctx), refined))
     return CountTable(k, tuple(rows))
+
+
+def _check_run_bound(n: int, k: int, top: int) -> None:
+    bound = max_runs_bound(n, k)
+    if top > bound:
+        raise AssertionError(f"observed {top} runs, beyond the proven bound {bound}")
 
 
 def _check_nk(n: int, k: int) -> None:

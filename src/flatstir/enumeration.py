@@ -1,9 +1,15 @@
 """Exhaustive generators: Q_n^k, its flattened subset, and GCP_k(n).
 
 These streams are the ground-truth oracle every closed form is checked
-against.  They are lazy, depth-first and deterministic; a budget guard
-refuses instance sizes whose predicted cardinality exceeds a configurable
-cap (default 10^8) unless forced.
+against; no command uses them where a polynomial-time formula exists.
+They are lazy, depth-first and deterministic; a budget guard refuses
+instance sizes whose predicted cardinality exceeds a configurable cap
+(default 10^8) unless forced.
+
+Words and partitions built here are correct by construction, so they are
+trusted: neither is re-validated, and the filter route tests only the
+run-leader condition, since every generated word is already Stirling.  The
+filter route stays a plain filter over all of Q_n^k, independent of phi.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from typing import Iterator
 from . import counting
 from .bijection import phi
 from .errors import BudgetExceededError, DomainError
-from .partitions import ColoredPartition
-from .words import StirlingWord, is_flattened
+from .partitions import ColoredPartition, _trusted_partition
+from .words import StirlingWord, _leaders_weakly_increase, _trusted_word
 
 DEFAULT_BUDGET = 10**8
 
@@ -57,7 +63,7 @@ def gen_stirling(
 
 def _gen_stirling_rec(word: list[int], m: int, n: int, k: int) -> Iterator[StirlingWord]:
     if m > n:
-        yield StirlingWord(tuple(word), n, k)
+        yield _trusted_word(tuple(word), n, k)
         return
     block = [m] * k
     for pos in range(len(word) + 1):
@@ -81,7 +87,7 @@ def gen_flattened(
     _check_args(n, k)
     if via == "filter":
         for w in gen_stirling(n, k, budget=budget, force=force):
-            if is_flattened(w):
+            if _leaders_weakly_increase(w.letters):
                 yield w
     elif via == "bijection":
         for p in gen_gcp(n, k, budget=budget, force=force):
@@ -118,7 +124,8 @@ def gen_gcp(
                     pairs.append((e, colors[ci]))
                     ci += 1
                 colored.append(tuple(pairs))
-            yield ColoredPartition(n, k, tuple(colored))
+            # standard notation already: blocks by minimum, elements ascending
+            yield _trusted_partition(n, k, tuple(colored))
 
 
 def _gen_set_partitions(n: int) -> Iterator[list[list[int]]]:

@@ -14,7 +14,9 @@ Constructors normalize arbitrary block orderings into standard notation
 and record whether the input already was standard.  Coloring rules are a
 separate predicate (`validate`) so that rule-breaking partitions remain
 representable for negative tests; `good_partition` builds and checks in
-one step, naming the first failed rule on error.
+one step, naming the first failed rule on error.  The generator in
+`enumeration` builds its partitions in standard notation already and goes
+through `_trusted_partition`, so generated partitions are not re-validated.
 """
 
 from __future__ import annotations
@@ -57,6 +59,17 @@ class ColoredPartition:
         return json.dumps(
             {"n": self.n, "k": self.k, "blocks": [[[e, c] for e, c in b] for b in self.blocks]}
         )
+
+
+def _trusted_partition(n: int, k: int, blocks: tuple[Block, ...]) -> ColoredPartition:
+    """A partition whose blocks the caller guarantees are a standard-notation
+    partition of [1..n] with colors in 1..k; skips normalizing and checking."""
+    p = object.__new__(ColoredPartition)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "k", k)
+    object.__setattr__(p, "blocks", blocks)
+    object.__setattr__(p, "input_was_standard", True)
+    return p
 
 
 def _normalize(blocks: Iterable[Iterable[Sequence[int]]]) -> tuple[tuple[Block, ...], bool]:

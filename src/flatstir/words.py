@@ -8,7 +8,11 @@ leading letters of its runs are weakly increasing left to right.
 
 The StirlingWord type only enforces the multiset shape; the Stirling and
 flattened conditions are separate predicates so that invalid words remain
-constructible for negative tests.
+constructible for negative tests.  Every public way in (the constructor,
+`parse_word`, `word_from_json`) validates; the generators in `enumeration`
+build words that are correct by construction through `_trusted_word` and
+test them with `_leaders_weakly_increase`, so generated words are trusted
+and not re-validated.
 """
 
 from __future__ import annotations
@@ -62,6 +66,15 @@ class StirlingWord:
         return json.dumps(
             {"letters": list(self.letters), "order": self.order, "multiplicity": self.multiplicity}
         )
+
+
+def _trusted_word(letters: tuple[int, ...], order: int, multiplicity: int) -> StirlingWord:
+    """A word whose multiset shape the caller guarantees; skips validation."""
+    w = object.__new__(StirlingWord)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "order", order)
+    object.__setattr__(w, "multiplicity", multiplicity)
+    return w
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +137,11 @@ def is_flattened(w: StirlingWord) -> bool:
             "word is not a k-Stirling permutation: a letter smaller than i "
             "occurs between two consecutive copies of i"
         )
-    letters = w.letters
+    return _leaders_weakly_increase(w.letters)
+
+
+def _leaders_weakly_increase(letters: tuple[int, ...]) -> bool:
+    """The flattened condition alone, for words already known to be Stirling."""
     if not letters:
         return True
     leader = letters[0]

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from flatstir.cli import main
+from flatstir.verify import REFERENCE_RUNS_K2
 
 EXAMPLE_PARTITION = "1_1 2_3 4_2 6_3 | 3_1 | 5_1"
 EXAMPLE_WORD = "1 2 2 2 2 6 6 6 6 1 4 4 4 4 1 1 3 3 3 3 5 5 5 5"
@@ -38,6 +39,12 @@ class TestCount:
         assert code == 2
         assert err.startswith("error: usage:")
 
+    def test_n0_egf_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "count", "--n", "0", "--k", "2", "--method", "egf")
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: --n must be >= 1, got 0\n"
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--n", "5", "--k", "2", "--bogus"])
@@ -59,6 +66,12 @@ class TestPoly:
         code, out, _ = run(capsys, "poly", "--n", "4", "--k", "3", "--format", "json")
         assert code == 0
         assert json.loads(out) == {"n": 4, "k": 3, "coefficients": [1, 26, 36]}
+
+    def test_n0_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "poly", "--n", "0", "--k", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: --n must be >= 1, got 0\n"
 
 
 class TestBijection:
@@ -167,14 +180,17 @@ class TestTable:
         assert payload["rows"][4]["runs"] == [1, 37, 70, 8]
         assert payload["rows"][4]["stirling_words"] == 945
 
-    def test_budget_notice_on_stderr(self, capsys):
-        code, out, err = run(
-            capsys, "table", "--k", "2", "--max-n", "5", "--budget", "200"
-        )
+    def test_runs_match_reference_k2(self, capsys):
+        code, out, _ = run(capsys, "table", "--k", "2", "--max-n", "8", "--format", "json")
         assert code == 0
-        assert "skipped" in err
-        payload_rows = [line for line in out.splitlines() if line.startswith("| 5 ")]
-        assert payload_rows[0] == "| 5 | 945 | 116 |  |  |  |"
+        rows = json.loads(out)["rows"]
+        assert {r["n"]: tuple(r["runs"]) for r in rows} == REFERENCE_RUNS_K2
+
+    def test_max_n0_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "table", "--k", "2", "--max-n", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: --max-n must be >= 1, got 0\n"
 
 
 class TestEgf:
@@ -241,6 +257,12 @@ class TestConjecture:
         rows = json.loads(out)
         assert rows[4]["coefficients"] == [1, 63, 251, 90]
         assert rows[4]["unimodal"] and rows[4]["real_rooted"]
+
+    def test_max_n0_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "conjecture", "--k", "2", "--max-n", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: --max-n must be >= 1, got 0\n"
 
 
 class TestConfig:

@@ -190,8 +190,7 @@ class TestCountTable:
         assert [row.total for row in table.rows] == [1, 2, 6, 24]
         assert table.rows[3].run_refined == (1, 15, 8)
 
-    def test_over_budget_rows_have_no_refinement(self, ctx):
-        table = count_table(2, 5, ctx=ctx, budget=200)
-        assert table.rows[4].run_refined is None  # |Q_5^2| = 945 > 200
-        assert table.rows[4].total == 116
-        assert table.rows[2].run_refined == (1, 5)
+    @pytest.mark.parametrize("k,max_n", [(1, 6), (2, 6), (3, 5)])
+    def test_rows_match_bruteforce(self, k, max_n, ctx):
+        table = count_table(k, max_n, ctx=ctx)
+        assert table.rows == tuple(run_distribution_bruteforce(n, k) for n in range(1, max_n + 1))

@@ -2,11 +2,14 @@ import pytest
 
 from flatstir import (
     BudgetExceededError,
+    ColoredPartition,
     DomainError,
+    StirlingWord,
     count_flattened_recurrence,
     gen_flattened,
     gen_gcp,
     gen_stirling,
+    is_flattened,
     is_valid_stirling,
     predicted_stirling_count,
     validate,
@@ -98,6 +101,32 @@ class TestGcpGenerator:
     def test_rejects_n0(self):
         with pytest.raises(DomainError):
             next(gen_gcp(0, 1))
+
+
+SMALL = [(n, k) for n in range(1, 6) for k in range(1, 4)]
+
+
+class TestTrustedConstruction:
+    """Generated objects skip validation; they must equal validated ones."""
+
+    @pytest.mark.parametrize("n,k", SMALL)
+    def test_stirling_words_equal_validated(self, n, k):
+        for w in gen_stirling(n, k):
+            assert w == StirlingWord(w.letters, n, k)
+            assert is_valid_stirling(w)
+
+    @pytest.mark.parametrize("n,k", SMALL)
+    def test_partitions_equal_validated(self, n, k):
+        for p in gen_gcp(n, k):
+            q = ColoredPartition(n, k, p.blocks)
+            assert p == q
+            assert q.input_was_standard
+            assert validate(p)
+
+    @pytest.mark.parametrize("n,k", SMALL)
+    def test_filter_route_is_the_checked_filter(self, n, k):
+        expected = [w for w in gen_stirling(n, k) if is_flattened(w)]
+        assert list(gen_flattened(n, k, via="filter")) == expected
 
 
 class TestBudget:
