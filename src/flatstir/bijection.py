@@ -28,6 +28,11 @@ from .words import StirlingWord, is_flattened
 def phi(p: ColoredPartition) -> StirlingWord:
     """Map a good k-colored partition of [n] to a flattened word in Q_n^k."""
     require_good(p)
+    return StirlingWord(_phi_letters(p), p.n, p.k)
+
+
+def _phi_letters(p: ColoredPartition) -> tuple[int, ...]:
+    """The letters of phi(p), for a partition the caller knows is good."""
     k = p.k
     out: list[int] = []
     for block in p.blocks:
@@ -38,7 +43,7 @@ def phi(p: ColoredPartition) -> StirlingWord:
         for i in range(k, 0, -1):
             out.extend(gaps[i])
             out.append(minimum)
-    return StirlingWord(tuple(out), p.n, k)
+    return tuple(out)
 
 
 def phi_inverse(w: StirlingWord) -> ColoredPartition:

@@ -12,7 +12,8 @@ tests and `verify` hold the table to.
 
 All arithmetic is exact arbitrary-precision integers except the explicit
 series approximation, which evaluates a convergent positive series in
-precision-controlled floating point and must round to the exact count.
+floating point, sizes its precision to the result and certifies that it
+rounds to the exact count, or refuses.
 
 Stirling numbers of the second kind use S(0,0)=1 and S(a,0)=0 for a >= 1;
 the identity's boundary term requires the S(0,0)=1 convention.
@@ -115,36 +116,61 @@ def count_flattened_series_approx(
 ) -> tuple[mpmath.mpf, int]:
     """Evaluate e^(-1/k) * sum_{r>=0} (kr+k-1)^n / (r! k^r) numerically.
 
-    The exponent n counts words of order n+1.  Terms are added until the
-    tail bound (twice the next term, valid once the term ratio is below
-    1/2) falls under 2^(-precision_bits/2) of the partial sum.  Returns
-    (approximation, nearest integer); the integer must equal the exact
-    count and the tests hold it to that.
+    The exponent n counts words of order n+1.  The term ratio decreases in
+    r, so once it is below 1/2 the tail is at most twice the next term;
+    terms are added until that bound is below 2^(-precision_bits/2), an
+    absolute bound.  At `bits` of precision, rounding (each term, the sum,
+    exp and the product) costs at most (terms + 16) * 2^-bits of the partial
+    sum, which must come to at most 1/4.  `precision_bits` is a floor: if it
+    is too small for that,
+    the sum is redone once with the precision sized from the partial sum
+    and the number of terms.  The total error is then below 1/2, so the
+    nearest integer is the exact count; ConvergenceError is raised when that
+    cannot be certified.  Returns (approximation, integer).
     """
     if n < 0 or k < 1:
         raise DomainError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
     if precision_bits < 64:
         raise DomainError("precision_bits must be at least 64")
-    with mpmath.workprec(precision_bits):
-        eps = mpmath.mpf(2) ** (-(precision_bits // 2))
-        partial = mpmath.mpf(0)
-        r = 0
-        term = _series_term(n, k, 0)
-        while True:
-            partial += term
-            nxt = _series_term(n, k, r + 1)
-            if term > 0 and nxt < term / 2 and 2 * nxt < eps * partial:
-                break
-            if r >= max_terms:
-                raise ConvergenceError(
-                    f"series for n={n}, k={k} not converged after {max_terms} terms "
-                    f"(last term {mpmath.nstr(nxt, 8)}, partial {mpmath.nstr(partial, 8)})"
-                )
-            term = nxt
-            r += 1
-        approx = mpmath.exp(mpmath.mpf(-1) / k) * partial
-        rounded = int(mpmath.nint(approx))
-    return approx, rounded
+    bits = precision_bits
+    while True:
+        with mpmath.workprec(bits):
+            partial, terms = _series_partial_sum(n, k, precision_bits // 2, max_terms)
+            # partial < 2^(exp + bc), so this many bits put the round-off at <= 1/4
+            needed = partial.exp + partial.bc + (terms + 16).bit_length() + 2
+            if needed <= bits:
+                approx = mpmath.exp(mpmath.mpf(-1) / k) * partial
+                return approx, int(mpmath.nint(approx))
+        if bits > precision_bits:
+            raise ConvergenceError(
+                f"series for n={n}, k={k}: rounding error not certified at {bits} bits"
+            )
+        bits = needed + 16
+
+
+def _series_partial_sum(
+    n: int, k: int, tail_bits: int, max_terms: int
+) -> tuple[mpmath.mpf, int]:
+    """Sum terms r = 0..R until the tail after R is below 2^-tail_bits.
+
+    Returns (partial sum, R + 1).  Call under the working precision.
+    """
+    eps = mpmath.mpf(2) ** -tail_bits
+    partial = mpmath.mpf(0)
+    r = 0
+    term = _series_term(n, k, 0)
+    while True:
+        partial += term
+        nxt = _series_term(n, k, r + 1)
+        if term > 0 and nxt < term / 2 and 2 * nxt < eps:
+            return partial, r + 1
+        if r >= max_terms:
+            raise ConvergenceError(
+                f"series for n={n}, k={k} not converged after {max_terms} terms "
+                f"(last term {mpmath.nstr(nxt, 8)}, partial {mpmath.nstr(partial, 8)})"
+            )
+        term = nxt
+        r += 1
 
 
 def _series_term(n: int, k: int, r: int) -> mpmath.mpf:
@@ -239,7 +265,6 @@ def run_distribution_bruteforce(
     *,
     budget: int | None = None,
     force: bool = False,
-    via: str = "filter",
 ) -> CountTableRow:
     """Tally flattened words of order n by run count, by enumeration."""
     from . import enumeration  # local import: enumeration depends on this module
@@ -247,7 +272,7 @@ def run_distribution_bruteforce(
 
     counts: dict[int, int] = {}
     total = 0
-    for w in enumeration.gen_flattened(n, k, via=via, budget=budget, force=force):
+    for w in enumeration.gen_flattened(n, k, budget=budget, force=force):
         s = word_stats(w).runs
         counts[s] = counts.get(s, 0) + 1
         total += 1

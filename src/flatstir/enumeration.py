@@ -2,14 +2,22 @@
 
 These streams are the ground-truth oracle every closed form is checked
 against; no command uses them where a polynomial-time formula exists.
-They are lazy, depth-first and deterministic; a budget guard refuses
-instance sizes whose predicted cardinality exceeds a configurable cap
-(default 10^8) unless forced.
+They are lazy and deterministic; a budget guard refuses instance sizes
+whose predicted cardinality exceeds a configurable cap (default 10^8)
+unless forced, before the first object is yielded.
+
+Q_n^k is walked by insertion: every word of order m comes from a word of
+order m-1 by inserting the block m^k into one of its (m-1)k + 1 gaps.  The
+walk is a chain of n lazy generators, one per order, each inserting its
+block into every word the previous one yields, gap by gap from the left.
+It is depth-first and holds one word per order, never a whole level.  The
+chain yields plain letter tuples.
 
 Words and partitions built here are correct by construction, so they are
-trusted: neither is re-validated, and the filter route tests only the
-run-leader condition, since every generated word is already Stirling.  The
-filter route stays a plain filter over all of Q_n^k, independent of phi.
+trusted: neither is re-validated.  The filter route tests only the
+run-leader condition, on the letter tuple, and builds a word only for the
+tuples that pass; it stays a plain filter over all of Q_n^k, independent
+of phi.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from itertools import product
 from typing import Iterator
 
 from . import counting
-from .bijection import phi
+from .bijection import _phi_letters
 from .errors import BudgetExceededError, DomainError
 from .partitions import ColoredPartition, _trusted_partition
 from .words import StirlingWord, _leaders_weakly_increase, _trusted_word
@@ -57,17 +65,29 @@ def gen_stirling(
     right, so the stream order is deterministic.
     """
     _check_args(n, k)
+    _check_stirling_budget(n, k, budget, force)
+    for letters in _stirling_letters(n, k):
+        yield _trusted_word(letters, n, k)
+
+
+def _check_stirling_budget(n: int, k: int, budget: int | None, force: bool) -> None:
     _check_budget(predicted_stirling_count(n, k), budget, force, f"Q_{n}^{k}")
-    yield from _gen_stirling_rec([], 1, n, k)
 
 
-def _gen_stirling_rec(word: list[int], m: int, n: int, k: int) -> Iterator[StirlingWord]:
-    if m > n:
-        yield _trusted_word(tuple(word), n, k)
-        return
-    block = [m] * k
-    for pos in range(len(word) + 1):
-        yield from _gen_stirling_rec(word[:pos] + block + word[pos:], m + 1, n, k)
+def _stirling_letters(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The letters of Q_n^k in stream order: one insertion generator per order."""
+    words: Iterator[tuple[int, ...]] = iter([()])
+    for m in range(1, n + 1):
+        words = _insert_block(words, (m,) * k)
+    return words
+
+
+def _insert_block(
+    words: Iterator[tuple[int, ...]], block: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    for w in words:
+        for pos in range(len(w) + 1):
+            yield w[:pos] + block + w[pos:]
 
 
 def gen_flattened(
@@ -86,12 +106,13 @@ def gen_flattened(
     """
     _check_args(n, k)
     if via == "filter":
-        for w in gen_stirling(n, k, budget=budget, force=force):
-            if _leaders_weakly_increase(w.letters):
-                yield w
+        _check_stirling_budget(n, k, budget, force)
+        for letters in _stirling_letters(n, k):
+            if _leaders_weakly_increase(letters):
+                yield _trusted_word(letters, n, k)
     elif via == "bijection":
         for p in gen_gcp(n, k, budget=budget, force=force):
-            yield phi(p)
+            yield _trusted_word(_phi_letters(p), n, k)
     else:
         raise ValueError(f"unknown route {via!r}: expected 'filter' or 'bijection'")
 

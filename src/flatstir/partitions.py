@@ -56,9 +56,7 @@ class ColoredPartition:
         return " | ".join(" ".join(f"{e}_{c}" for e, c in b) for b in self.blocks)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "k": self.k, "blocks": [[[e, c] for e, c in b] for b in self.blocks]}
-        )
+        return json.dumps({"n": self.n, "k": self.k, "blocks": self.blocks})
 
 
 def _trusted_partition(n: int, k: int, blocks: tuple[Block, ...]) -> ColoredPartition:

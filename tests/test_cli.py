@@ -34,6 +34,11 @@ class TestCount:
         assert out.strip() == "116"
         assert abs(float(err.strip()) - 116) < 1e-6
 
+    def test_series_approx_is_exact_beyond_the_precision(self, capsys):
+        code, out, _ = run(capsys, "count", "--n", "40", "--k", "2", "--method", "series-approx")
+        assert code == 0
+        assert out == "4439679512667761787625302425489448814772224\n"
+
     def test_n0_is_usage_error(self, capsys):
         code, _, err = run(capsys, "count", "--n", "0", "--k", "2")
         assert code == 2

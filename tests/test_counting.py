@@ -1,6 +1,7 @@
 import pytest
 
 from flatstir import (
+    ConvergenceError,
     CountTableRow,
     DomainError,
     bell_number,
@@ -104,6 +105,23 @@ class TestSeriesApprox:
             approx, rounded = count_flattened_series_approx(n, k, 128)
             assert rounded == exact
             assert abs(approx - exact) < 1e-6 * exact
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rounds_to_exact_far_beyond_the_precision(self, k, ctx):
+        # a tail bound relative to the sum (2^-64 at 128 bits) went wrong from
+        # exponent 26, 22, 20 and 19 on for k = 1..4
+        for n in range(101):
+            exact = count_flattened_recurrence(n + 1, k, ctx)
+            assert count_flattened_series_approx(n, k, 128)[1] == exact, f"n={n}"
+
+    def test_order40_k2(self):
+        exact = 4439679512667761787625302425489448814772224
+        for bits in (64, 128, 512):
+            assert count_flattened_series_approx(39, 2, bits)[1] == exact
+
+    def test_term_cap_raises(self):
+        with pytest.raises(ConvergenceError):
+            count_flattened_series_approx(39, 2, 128, max_terms=5)
 
     def test_rejects_low_precision(self):
         with pytest.raises(DomainError):

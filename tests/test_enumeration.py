@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from flatstir import (
@@ -11,11 +13,13 @@ from flatstir import (
     gen_stirling,
     is_flattened,
     is_valid_stirling,
+    phi,
     predicted_stirling_count,
     validate,
 )
 
 STIRLING_COUNTS_K2 = [1, 3, 15, 105, 945]  # n = 1..5
+SMALL = [(n, k) for n in range(1, 6) for k in range(1, 4)]
 
 
 class TestStirlingGenerator:
@@ -50,6 +54,26 @@ class TestStirlingGenerator:
         with pytest.raises(DomainError):
             next(gen_stirling(2, 0))
 
+    @pytest.mark.parametrize("n,k", SMALL)
+    def test_stream_order_is_left_to_right_insertion(self, n, k):
+        assert [w.letters for w in gen_stirling(n, k)] == insertion_reference(n, k)
+
+
+def insertion_reference(n, k):
+    """Q_n^k from the definition: insert m^k into each gap of every word of
+    order m-1, gaps left to right, recursively."""
+    out = []
+
+    def extend(word, m):
+        if m > n:
+            out.append(tuple(word))
+            return
+        for pos in range(len(word) + 1):
+            extend(word[:pos] + [m] * k + word[pos:], m + 1)
+
+    extend([], 1)
+    return out
+
 
 class TestFlattenedGenerator:
     def test_count_n5_k2(self):
@@ -67,6 +91,17 @@ class TestFlattenedGenerator:
         filtered = set(gen_flattened(n, k, via="filter"))
         mapped = set(gen_flattened(n, k, via="bijection"))
         assert filtered == mapped
+
+    def test_walk_is_lazy(self):
+        # a materialised level (Q_6^2 alone) would take about 1.5 MB
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in gen_flattened(7, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 4088
+        assert peak < 64 * 1024
 
     def test_unknown_route(self):
         with pytest.raises(ValueError):
@@ -103,8 +138,6 @@ class TestGcpGenerator:
             next(gen_gcp(0, 1))
 
 
-SMALL = [(n, k) for n in range(1, 6) for k in range(1, 4)]
-
 
 class TestTrustedConstruction:
     """Generated objects skip validation; they must equal validated ones."""
@@ -128,6 +161,11 @@ class TestTrustedConstruction:
         expected = [w for w in gen_stirling(n, k) if is_flattened(w)]
         assert list(gen_flattened(n, k, via="filter")) == expected
 
+    @pytest.mark.parametrize("n,k", SMALL)
+    def test_bijection_route_is_checked_phi(self, n, k):
+        expected = [phi(p) for p in gen_gcp(n, k)]
+        assert list(gen_flattened(n, k, via="bijection")) == expected
+
 
 class TestBudget:
     def test_stirling_over_budget(self):
@@ -140,6 +178,19 @@ class TestBudget:
     def test_default_budget_blocks_huge_instances(self):
         with pytest.raises(BudgetExceededError):
             next(gen_stirling(30, 2))
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (3, 3), (5, 1)])
+    def test_filter_route_over_budget_on_first_next(self, n, k):
+        size = predicted_stirling_count(n, k)
+        with pytest.raises(BudgetExceededError):
+            next(gen_flattened(n, k, budget=size - 1))
+        assert sum(1 for _ in gen_flattened(n, k, budget=size)) == count_flattened_recurrence(n, k)
+
+    def test_bijection_route_over_budget_on_first_next(self):
+        size = count_flattened_recurrence(4, 2)
+        with pytest.raises(BudgetExceededError):
+            next(gen_flattened(4, 2, via="bijection", budget=size - 1))
+        assert sum(1 for _ in gen_flattened(4, 2, via="bijection", budget=size)) == size
 
     def test_gcp_over_budget(self):
         with pytest.raises(BudgetExceededError):

@@ -7,6 +7,7 @@ from flatstir import (
     MalformedPartitionError,
     PartitionRuleError,
     block_descent_count,
+    gen_gcp,
     good_partition,
     is_saturated,
     parse_partition,
@@ -140,6 +141,13 @@ class TestSerialization:
         assert partition_from_json(p.to_json()) == p
         payload = json.loads(p.to_json())
         assert payload["blocks"][0] == [[1, 1], [2, 3], [4, 2]]
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)])
+    def test_json_is_the_nested_list_form(self, n, k):
+        for p in gen_gcp(n, k):
+            nested = [[[e, c] for e, c in b] for b in p.blocks]
+            assert p.to_json() == json.dumps({"n": n, "k": k, "blocks": nested})
+            assert partition_from_json(p.to_json()) == p
 
     def test_parse_rejects_bad_token(self):
         with pytest.raises(MalformedPartitionError):
