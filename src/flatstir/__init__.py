@@ -9,10 +9,10 @@ from .analysis import (
     descent_polynomial_bruteforce,
     is_real_rooted,
     is_unimodal,
-    joint_distribution,
 )
 from .bijection import phi, phi_inverse
 from .counting import (
+    DEFAULT_BUDGET,
     CountContext,
     CountTable,
     CountTableRow,
@@ -29,7 +29,6 @@ from .counting import (
     stirling2,
 )
 from .enumeration import (
-    DEFAULT_BUDGET,
     gen_flattened,
     gen_gcp,
     gen_stirling,
@@ -54,7 +53,6 @@ from .partitions import (
     ColoredPartition,
     block_descent_count,
     good_partition,
-    is_saturated,
     parse_partition,
     validate,
 )
@@ -123,10 +121,8 @@ __all__ = [
     "good_partition",
     "is_flattened",
     "is_real_rooted",
-    "is_saturated",
     "is_unimodal",
     "is_valid_stirling",
-    "joint_distribution",
     "max_runs_bound",
     "parse_partition",
     "parse_word",

@@ -1,9 +1,13 @@
-"""Descent statistics gathered by enumeration, plus exploratory checks.
+"""Descent polynomials and exploratory checks on them.
 
-Unimodality and real-rootedness of the descent polynomials are open
-questions; this module only gathers evidence.  The real-rootedness test is
-an exact decision procedure (a Sturm chain over the integers, its signs read
-at plus and minus infinity), never a numeric root finder.
+The brute-force descent polynomial is the run tally of
+`counting.run_distribution_bruteforce` shifted down by one (runs =
+descents + 1); `conjecture_report` reads its polynomials off the descent
+EGF instead.  Unimodality and real-rootedness of the descent polynomials
+are open questions; this module only gathers evidence.  The
+real-rootedness test is an exact decision procedure (a Sturm chain over
+the integers, its signs read at plus and minus infinity), never a numeric
+root finder.
 """
 
 from __future__ import annotations
@@ -11,35 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from . import enumeration
-from .counting import CountContext
+from .counting import DEFAULT_BUDGET, CountContext, run_distribution_bruteforce
 from .errors import DomainError
 from .series import IntPolynomial, descent_egf, extract_descent_polynomial
-from .words import word_stats
 
 
 def descent_polynomial_bruteforce(
-    n: int, k: int, *, budget: int | None = None, force: bool = False
+    n: int, k: int, *, budget: int | None = DEFAULT_BUDGET
 ) -> IntPolynomial:
-    """Sum of t^descents over the flattened words of order n."""
-    counts: dict[int, int] = {}
-    for w in enumeration.gen_flattened(n, k, budget=budget, force=force):
-        d = word_stats(w).descents
-        counts[d] = counts.get(d, 0) + 1
-    top = max(counts)
-    return IntPolynomial(tuple(counts.get(d, 0) for d in range(top + 1)))
+    """Sum of t^descents over the flattened words of order n.
 
-
-def joint_distribution(
-    n: int, k: int, *, budget: int | None = None, force: bool = False
-) -> dict[tuple[int, int, int], int]:
-    """Tally of (descents, plateaus, ascents) over flattened words."""
-    tally: dict[tuple[int, int, int], int] = {}
-    for w in enumeration.gen_flattened(n, k, budget=budget, force=force):
-        s = word_stats(w)
-        key = (s.descents, s.plateaus, s.ascents)
-        tally[key] = tally.get(key, 0) + 1
-    return tally
+    Runs = descents + 1, so this is the run tally read from t^0 up.
+    """
+    return IntPolynomial(run_distribution_bruteforce(n, k, budget=budget).run_refined)
 
 
 def is_unimodal(p: IntPolynomial) -> bool:

@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--as", dest="kind", choices=("words", "partitions"), default="words")
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
     p.add_argument("--budget", type=int)
-    p.add_argument("--force", action="store_true", help="ignore the enumeration budget")
+    p.add_argument("--force", action="store_true", help="lift the enumeration budget")
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("count", help="count flattened words of order n")
@@ -150,8 +150,11 @@ def _require_order(flag: str, value: int) -> None:
         raise DomainError(f"{flag} must be >= 1, got {value}")
 
 
-def _budget(args: argparse.Namespace, cfg: Config) -> int:
-    return args.budget if getattr(args, "budget", None) is not None else cfg.budget
+def _budget(args: argparse.Namespace, cfg: Config) -> int | None:
+    """The enumeration cap: None under --force, else --budget or the config's."""
+    if getattr(args, "force", False):
+        return None
+    return args.budget if args.budget is not None else cfg.budget
 
 
 def cmd_enumerate(args: argparse.Namespace, cfg: Config) -> int:
@@ -160,13 +163,13 @@ def cmd_enumerate(args: argparse.Namespace, cfg: Config) -> int:
         if args.flattened:
             raise ValueError("--flattened applies to words; every good partition "
                              "already corresponds to a flattened word")
-        for p in enumeration.gen_gcp(args.n, args.k, budget=budget, force=args.force):
+        for p in enumeration.gen_gcp(args.n, args.k, budget=budget):
             print(p.to_json() if args.format == "jsonl" else p.to_text())
     else:
         if args.flattened:
-            stream = enumeration.gen_flattened(args.n, args.k, budget=budget, force=args.force)
+            stream = enumeration.gen_flattened(args.n, args.k, budget=budget)
         else:
-            stream = enumeration.gen_stirling(args.n, args.k, budget=budget, force=args.force)
+            stream = enumeration.gen_stirling(args.n, args.k, budget=budget)
         for w in stream:
             print(w.to_json() if args.format == "jsonl" else w.to_text())
     return EXIT_OK
@@ -190,10 +193,7 @@ def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
         print(mpmath.nstr(approx, 30), file=sys.stderr)
     else:
         total = sum(
-            1
-            for _ in enumeration.gen_flattened(
-                args.n, args.k, budget=_budget(args, cfg), force=args.force
-            )
+            1 for _ in enumeration.gen_flattened(args.n, args.k, budget=_budget(args, cfg))
         )
         print(total)
     return EXIT_OK
@@ -268,7 +268,7 @@ def cmd_poly(args: argparse.Namespace, cfg: Config) -> int:
         poly = series.extract_descent_polynomial(egf, args.n - 1)
     else:
         poly = analysis.descent_polynomial_bruteforce(
-            args.n, args.k, budget=_budget(args, cfg), force=args.force
+            args.n, args.k, budget=_budget(args, cfg)
         )
     if args.format == "json":
         print(json.dumps({"n": args.n, "k": args.k, "coefficients": list(poly.coeffs)}))
@@ -290,6 +290,8 @@ def cmd_egf(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
+    _require_order("--max-n", args.max_n)
+    _require_order("--max-k", args.max_k)
     limits = VerifyLimits(
         max_n=args.max_n,
         max_k=args.max_k,

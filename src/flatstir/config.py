@@ -11,8 +11,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .counting import DEFAULT_BUDGET
 from .errors import FlatstirError
-from .oeis import default_cache_dir
+from .oeis import DEFAULT_TIMEOUT, default_cache_dir
 
 ENV_PREFIX = "FLATSTIR_"
 _KEYS = ("budget", "truncation_order", "oeis_timeout", "cache_dir")
@@ -24,9 +25,9 @@ class ConfigError(FlatstirError, ValueError):
 
 @dataclass
 class Config:
-    budget: int = 10**8
+    budget: int = DEFAULT_BUDGET
     truncation_order: int = 32
-    oeis_timeout: float = 10.0
+    oeis_timeout: float = DEFAULT_TIMEOUT
     cache_dir: str = ""
 
     def __post_init__(self):

@@ -29,6 +29,8 @@ import mpmath
 
 from .errors import ConvergenceError, DomainError
 
+DEFAULT_BUDGET = 10**8  # the enumeration size cap; None lifts it
+
 
 @dataclass
 class CountContext:
@@ -260,11 +262,7 @@ class CountTable:
 
 
 def run_distribution_bruteforce(
-    n: int,
-    k: int,
-    *,
-    budget: int | None = None,
-    force: bool = False,
+    n: int, k: int, *, budget: int | None = DEFAULT_BUDGET
 ) -> CountTableRow:
     """Tally flattened words of order n by run count, by enumeration."""
     from . import enumeration  # local import: enumeration depends on this module
@@ -272,7 +270,7 @@ def run_distribution_bruteforce(
 
     counts: dict[int, int] = {}
     total = 0
-    for w in enumeration.gen_flattened(n, k, budget=budget, force=force):
+    for w in enumeration.gen_flattened(n, k, budget=budget):
         s = word_stats(w).runs
         counts[s] = counts.get(s, 0) + 1
         total += 1

@@ -3,8 +3,9 @@
 These streams are the ground-truth oracle every closed form is checked
 against; no command uses them where a polynomial-time formula exists.
 They are lazy and deterministic; a budget guard refuses instance sizes
-whose predicted cardinality exceeds a configurable cap (default 10^8)
-unless forced, before the first object is yielded.
+whose predicted cardinality exceeds a cap (`counting.DEFAULT_BUDGET`,
+10^8, unless the caller passes another), before the first object is
+yielded.  A budget of None means no cap.
 
 Q_n^k is walked by insertion: every word of order m comes from a word of
 order m-1 by inserting the block m^k into one of its (m-1)k + 1 gaps.  The
@@ -27,11 +28,10 @@ from typing import Iterator
 
 from . import counting
 from .bijection import _phi_letters
-from .errors import BudgetExceededError, DomainError
+from .counting import DEFAULT_BUDGET, _check_nk
+from .errors import BudgetExceededError
 from .partitions import ColoredPartition, _trusted_partition
 from .words import StirlingWord, _leaders_weakly_increase, _trusted_word
-
-DEFAULT_BUDGET = 10**8
 
 
 def predicted_stirling_count(n: int, k: int) -> int:
@@ -42,21 +42,16 @@ def predicted_stirling_count(n: int, k: int) -> int:
     return total
 
 
-def _check_args(n: int, k: int) -> None:
-    if n < 1 or k < 1:
-        raise DomainError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-
-
-def _check_budget(predicted: int, budget: int | None, force: bool, what: str) -> None:
-    cap = DEFAULT_BUDGET if budget is None else budget
-    if not force and predicted > cap:
+def _check_budget(predicted: int, budget: int | None, what: str) -> None:
+    if budget is not None and predicted > budget:
         raise BudgetExceededError(
-            f"predicted |{what}| = {predicted} exceeds budget {cap}; pass force to override"
+            f"predicted |{what}| = {predicted} exceeds budget {budget}; "
+            "pass budget=None (--force on the command line) to lift it"
         )
 
 
 def gen_stirling(
-    n: int, k: int, *, budget: int | None = None, force: bool = False
+    n: int, k: int, *, budget: int | None = DEFAULT_BUDGET
 ) -> Iterator[StirlingWord]:
     """Yield every word of Q_n^k exactly once.
 
@@ -64,14 +59,14 @@ def gen_stirling(
     m^k into one of the (m-1)k + 1 gaps; insertion position runs left to
     right, so the stream order is deterministic.
     """
-    _check_args(n, k)
-    _check_stirling_budget(n, k, budget, force)
+    _check_nk(n, k)
+    _check_stirling_budget(n, k, budget)
     for letters in _stirling_letters(n, k):
         yield _trusted_word(letters, n, k)
 
 
-def _check_stirling_budget(n: int, k: int, budget: int | None, force: bool) -> None:
-    _check_budget(predicted_stirling_count(n, k), budget, force, f"Q_{n}^{k}")
+def _check_stirling_budget(n: int, k: int, budget: int | None) -> None:
+    _check_budget(predicted_stirling_count(n, k), budget, f"Q_{n}^{k}")
 
 
 def _stirling_letters(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -95,8 +90,7 @@ def gen_flattened(
     k: int,
     *,
     via: str = "filter",
-    budget: int | None = None,
-    force: bool = False,
+    budget: int | None = DEFAULT_BUDGET,
 ) -> Iterator[StirlingWord]:
     """Yield the flattened members of Q_n^k.
 
@@ -104,21 +98,21 @@ def gen_flattened(
     good-partition stream through phi.  The two routes must agree as sets
     and the test suite holds them to that.
     """
-    _check_args(n, k)
+    _check_nk(n, k)
     if via == "filter":
-        _check_stirling_budget(n, k, budget, force)
+        _check_stirling_budget(n, k, budget)
         for letters in _stirling_letters(n, k):
             if _leaders_weakly_increase(letters):
                 yield _trusted_word(letters, n, k)
     elif via == "bijection":
-        for p in gen_gcp(n, k, budget=budget, force=force):
+        for p in gen_gcp(n, k, budget=budget):
             yield _trusted_word(_phi_letters(p), n, k)
     else:
         raise ValueError(f"unknown route {via!r}: expected 'filter' or 'bijection'")
 
 
 def gen_gcp(
-    n: int, k: int, *, budget: int | None = None, force: bool = False
+    n: int, k: int, *, budget: int | None = DEFAULT_BUDGET
 ) -> Iterator[ColoredPartition]:
     """Yield every good k-colored partition of [n] exactly once.
 
@@ -128,9 +122,9 @@ def gen_gcp(
     odometer order.  For k=1 the first-block color range is empty, which
     silently restricts to partitions whose first block is {1}.
     """
-    _check_args(n, k)
+    _check_nk(n, k)
     predicted = counting.count_flattened_recurrence(n, k)
-    _check_budget(predicted, budget, force, f"GCP_{k}({n})")
+    _check_budget(predicted, budget, f"GCP_{k}({n})")
     for blocks in _gen_set_partitions(n):
         slots: list[range] = []
         for bi, block in enumerate(blocks):

@@ -20,7 +20,6 @@ import tempfile
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .counting import CountContext, count_flattened_recurrence
 from .errors import AlignmentError, BFileParseError, DomainError, SequenceUnavailableError
@@ -40,21 +39,12 @@ def default_cache_dir() -> str:
 
 
 @dataclass(frozen=True)
-class BFile(Sequence):
+class BFile:
     """Parsed b-file rows plus where they came from."""
 
     sequence_id: str
     source: str  # "network" | "cache" | "embedded"
     terms: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __getitem__(self, i):
-        return self.terms[i]
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.terms)
 
     @property
     def values(self) -> tuple[int, ...]:

@@ -10,8 +10,8 @@ blocks ascending by minimum element.  It is *good* when
 For k=1 the second rule leaves no legal color for non-minimum elements of
 the first block, so the first block must be exactly {1}.
 
-Constructors normalize arbitrary block orderings into standard notation
-and record whether the input already was standard.  Coloring rules are a
+Constructors normalize arbitrary block orderings into standard notation.
+Coloring rules are a
 separate predicate (`validate`) so that rule-breaking partitions remain
 representable for negative tests; `good_partition` builds and checks in
 one step, naming the first failed rule on error.  The generator in
@@ -22,7 +22,7 @@ through `_trusted_partition`, so generated partitions are not re-validated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import MalformedPartitionError, PartitionRuleError
@@ -37,15 +37,13 @@ class ColoredPartition:
     n: int
     k: int
     blocks: tuple[Block, ...]
-    input_was_standard: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise MalformedPartitionError("n and k must both be at least 1")
-        normalized, changed = _normalize(self.blocks)
+        normalized = _normalize(self.blocks)
         _check_structure(self.n, self.k, normalized)
         object.__setattr__(self, "blocks", normalized)
-        object.__setattr__(self, "input_was_standard", not changed)
 
     @property
     def first_block(self) -> Block:
@@ -66,15 +64,12 @@ def _trusted_partition(n: int, k: int, blocks: tuple[Block, ...]) -> ColoredPart
     object.__setattr__(p, "n", n)
     object.__setattr__(p, "k", k)
     object.__setattr__(p, "blocks", blocks)
-    object.__setattr__(p, "input_was_standard", True)
     return p
 
 
-def _normalize(blocks: Iterable[Iterable[Sequence[int]]]) -> tuple[tuple[Block, ...], bool]:
-    raw = [tuple((int(e), int(c)) for e, c in block) for block in blocks]
-    inner = [tuple(sorted(b)) for b in raw]
-    outer = tuple(sorted(inner, key=lambda b: b[0][0] if b else 0))
-    return outer, outer != tuple(raw)
+def _normalize(blocks: Iterable[Iterable[Sequence[int]]]) -> tuple[Block, ...]:
+    inner = [tuple(sorted((int(e), int(c)) for e, c in block)) for block in blocks]
+    return tuple(sorted(inner, key=lambda b: b[0][0] if b else 0))
 
 
 def _check_structure(n: int, k: int, blocks: tuple[Block, ...]) -> None:
@@ -116,9 +111,7 @@ def good_partition(
 ) -> ColoredPartition:
     """Normalize, then enforce the good-coloring rules; raises naming the rule."""
     p = ColoredPartition(n, k, tuple(tuple(tuple(pair) for pair in b) for b in blocks))
-    failed = first_failed_rule(p)
-    if failed is not None:
-        raise PartitionRuleError(failed)
+    require_good(p)
     return p
 
 
@@ -126,14 +119,6 @@ def require_good(p: ColoredPartition) -> None:
     failed = first_failed_rule(p)
     if failed is not None:
         raise PartitionRuleError(failed)
-
-
-def is_saturated(block: Block, k: int) -> bool:
-    """A block is saturated iff it has k+1 elements and its non-minimum
-    elements use every color 1..k."""
-    if len(block) != k + 1:
-        return False
-    return {c for _, c in block[1:]} == set(range(1, k + 1))
 
 
 def block_descent_count(p: ColoredPartition) -> int:

@@ -45,9 +45,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def reversed(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(reversed(self.coeffs)))
-
     def to_text(self) -> str:
         """Canonical ascending-power form, e.g. "1 + 26*t + 36*t^2"."""
         if not self.coeffs:

@@ -63,10 +63,10 @@ class CheckResult:
 class VerifyLimits:
     max_n: int = 8
     max_k: int = 4
-    budget: int = 10**8
+    budget: int | None = counting.DEFAULT_BUDGET
     offline_oeis: bool = False
     cache_dir: str | None = None
-    oeis_timeout: float = 10.0
+    oeis_timeout: float = oeis.DEFAULT_TIMEOUT
 
 
 class _State:

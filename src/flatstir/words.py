@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import MalformedWordError, NotStirlingError
 
@@ -46,13 +45,6 @@ class StirlingWord:
             raise MalformedWordError(
                 f"letters are not the multiset {{1^{k}, ..., {n}^{k}}}"
             )
-
-    @classmethod
-    def from_letters(cls, letters: Iterable[int], multiplicity: int) -> "StirlingWord":
-        """Build a word inferring the order from the largest letter."""
-        seq = tuple(int(v) for v in letters)
-        order = max(seq) if seq else 0
-        return cls(seq, order, multiplicity)
 
     @property
     def is_empty(self) -> bool:
@@ -88,13 +80,12 @@ class WordStats:
 
 
 def parse_word(text: str, multiplicity: int) -> StirlingWord:
-    """Parse the space-separated letter format."""
-    tokens = text.split()
+    """Parse the space-separated letter format; the order is the largest letter."""
     try:
-        letters = [int(t) for t in tokens]
+        letters = tuple(int(t) for t in text.split())
     except ValueError as exc:
         raise MalformedWordError(f"non-integer letter in word: {exc}") from None
-    return StirlingWord.from_letters(letters, multiplicity)
+    return StirlingWord(letters, max(letters, default=0), multiplicity)
 
 
 def word_from_json(text: str) -> StirlingWord:

@@ -5,13 +5,11 @@ from flatstir import (
     DomainError,
     IntPolynomial,
     conjecture_report,
-    count_flattened_recurrence,
     descent_egf,
     descent_polynomial_bruteforce,
     extract_descent_polynomial,
     is_real_rooted,
     is_unimodal,
-    joint_distribution,
 )
 
 
@@ -87,7 +85,7 @@ class TestRealRooted:
             egf = descent_egf(k, 6, ctx)
             for n in range(7):
                 poly = extract_descent_polynomial(egf, n)
-                assert is_real_rooted(poly) == is_real_rooted(poly.reversed())
+                assert is_real_rooted(poly) == is_real_rooted(IntPolynomial(poly.coeffs[::-1]))
 
 
 @given(
@@ -97,7 +95,7 @@ class TestRealRooted:
 )
 def test_reversal_invariance_random(coeffs):
     p = IntPolynomial(tuple(coeffs))
-    assert is_real_rooted(p) == is_real_rooted(p.reversed())
+    assert is_real_rooted(p) == is_real_rooted(IntPolynomial(p.coeffs[::-1]))
 
 
 def _product(factors):
@@ -123,33 +121,6 @@ def test_known_answers_with_repeated_roots(factors, c):
     real = _product([list(f) for f, repeats in factors for _ in range(repeats)])
     assert is_real_rooted(IntPolynomial(real))
     assert not is_real_rooted(IntPolynomial(_product([real, (c, 0, 1)])))  # times t^2 + c
-
-
-class TestJointDistribution:
-    def test_single_word(self):
-        assert joint_distribution(1, 2) == {(0, 1, 0): 1}
-
-    def test_order_two(self):
-        # 1122 scans plat, asc, plat; 1221 scans asc, plat, des
-        assert joint_distribution(2, 2) == {(0, 2, 1): 1, (1, 1, 1): 1}
-
-    @pytest.mark.parametrize("n,k", [(3, 2), (5, 2), (3, 3)])
-    def test_descent_marginal_and_total(self, n, k, ctx):
-        tally = joint_distribution(n, k)
-        assert sum(tally.values()) == count_flattened_recurrence(n, k, ctx)
-        marginal = {}
-        for (des, plat, asc), count in tally.items():
-            assert des + plat + asc == n * k - 1
-            marginal[des] = marginal.get(des, 0) + count
-        poly = descent_polynomial_bruteforce(n, k)
-        assert marginal == {d: c for d, c in enumerate(poly.coeffs) if c}
-
-    def test_order5_marginal_values(self):
-        tally = joint_distribution(5, 2)
-        marginal = [0] * 4
-        for (des, _, _), count in tally.items():
-            marginal[des] += count
-        assert marginal == [1, 37, 70, 8]
 
 
 class TestConjectureReport:

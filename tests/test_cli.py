@@ -314,3 +314,10 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 12
         assert all(l.startswith("PASS") for l in lines)
+
+    @pytest.mark.parametrize("flag", ["--max-n", "--max-k"])
+    def test_limit0_names_the_flag(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "--offline", flag, "0")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: usage: {flag} must be >= 1, got 0\n"

@@ -8,6 +8,7 @@ from flatstir import (
     DomainError,
     StirlingWord,
     count_flattened_recurrence,
+    descent_polynomial_bruteforce,
     gen_flattened,
     gen_gcp,
     gen_stirling,
@@ -15,6 +16,7 @@ from flatstir import (
     is_valid_stirling,
     phi,
     predicted_stirling_count,
+    run_distribution_bruteforce,
     validate,
 )
 
@@ -153,7 +155,6 @@ class TestTrustedConstruction:
         for p in gen_gcp(n, k):
             q = ColoredPartition(n, k, p.blocks)
             assert p == q
-            assert q.input_was_standard
             assert validate(p)
 
     @pytest.mark.parametrize("n,k", SMALL)
@@ -173,7 +174,7 @@ class TestBudget:
             next(gen_stirling(2, 2, budget=2))
 
     def test_force_overrides(self):
-        assert sum(1 for _ in gen_stirling(2, 2, budget=2, force=True)) == 3
+        assert sum(1 for _ in gen_stirling(2, 2, budget=None)) == 3
 
     def test_default_budget_blocks_huge_instances(self):
         with pytest.raises(BudgetExceededError):
@@ -191,6 +192,14 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             next(gen_flattened(4, 2, via="bijection", budget=size - 1))
         assert sum(1 for _ in gen_flattened(4, 2, via="bijection", budget=size)) == size
+
+    @pytest.mark.parametrize("tally", [run_distribution_bruteforce, descent_polynomial_bruteforce])
+    @pytest.mark.parametrize("n,k", [(4, 2), (3, 3)])
+    def test_bruteforce_tallies_stop_at_the_stirling_count(self, tally, n, k):
+        size = predicted_stirling_count(n, k)
+        with pytest.raises(BudgetExceededError):
+            tally(n, k, budget=size - 1)
+        assert tally(n, k, budget=size) == tally(n, k, budget=None)
 
     def test_gcp_over_budget(self):
         with pytest.raises(BudgetExceededError):

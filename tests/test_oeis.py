@@ -67,7 +67,7 @@ class TestFetch:
     def test_offline_embedded(self, tmp_path, ctx):
         got = fetch_bfile("A007405", cache_dir=str(tmp_path), offline=True, ctx=ctx)
         assert got.source == "embedded"
-        assert len(got) == 10
+        assert len(got.terms) == 10
         assert got.values == tuple(
             count_flattened_recurrence(i + 1, 2, ctx) for i in range(10)
         )

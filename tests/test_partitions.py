@@ -9,7 +9,6 @@ from flatstir import (
     block_descent_count,
     gen_gcp,
     good_partition,
-    is_saturated,
     parse_partition,
     phi,
     validate,
@@ -83,33 +82,21 @@ class TestNormalization:
     def test_blocks_and_elements_sorted(self):
         p = ColoredPartition(5, 4, (((3, 1),), ((4, 2), (1, 1), (2, 3)), ((5, 1),)))
         assert p.blocks == (((1, 1), (2, 3), (4, 2)), ((3, 1),), ((5, 1),))
-        assert not p.input_was_standard
 
     def test_standard_input_flagged(self):
         p = ColoredPartition(2, 2, (((1, 1),), ((2, 1),)))
-        assert p.input_was_standard
+        assert p.blocks == (((1, 1),), ((2, 1),))
 
     def test_idempotent(self):
         messy = ColoredPartition(5, 4, (((3, 1),), ((4, 2), (1, 1), (2, 3)), ((5, 1),)))
         again = ColoredPartition(messy.n, messy.k, messy.blocks)
         assert again == messy
-        assert again.input_was_standard
+        assert again.blocks == messy.blocks
 
     def test_normalization_does_not_affect_equality(self):
         a = ColoredPartition(2, 2, (((2, 1),), ((1, 1),)))
         b = ColoredPartition(2, 2, (((1, 1),), ((2, 1),)))
         assert a == b
-
-
-class TestSaturated:
-    def test_saturated(self):
-        assert is_saturated(((2, 1), (5, 1), (6, 2)), 2)
-
-    def test_missing_color(self):
-        assert not is_saturated(((2, 1), (5, 2), (6, 2)), 2)
-
-    def test_wrong_size(self):
-        assert not is_saturated(((2, 1), (5, 2)), 2)
 
 
 class TestBlockDescentCount:

@@ -47,10 +47,6 @@ class TestConstruction:
         with pytest.raises(MalformedWordError):
             StirlingWord((), 0, 0)
 
-    def test_from_letters_infers_order(self):
-        w = StirlingWord.from_letters([1, 2, 2, 1], 2)
-        assert (w.order, w.multiplicity) == (2, 2)
-
 
 class TestStirlingPredicate:
     def test_simple_valid(self):
