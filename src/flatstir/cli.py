@@ -41,6 +41,9 @@ EXIT_NETWORK = 4
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digits:  # exact counts outgrow the default 4300-digit int-to-str limit
+        sys.set_int_max_str_digits(0)
     try:
         cfg = load_config(args.config)
         return args.handler(args, cfg)
@@ -55,6 +58,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("usage", exc, EXIT_USAGE)
     except BrokenPipeError:
         return EXIT_OK
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 def _fail(category: str, exc: Exception, code: int) -> int:
@@ -241,22 +247,14 @@ def cmd_bijection(args: argparse.Namespace, cfg: Config) -> int:
     payload = sys.stdin.read().strip()
     if not payload:
         raise ValueError("expected one object on standard input")
+    as_json = args.format == "json"
     if args.direction == "forward":
-        p = (
-            partition_from_json(payload)
-            if args.format == "json"
-            else parse_partition(payload, args.k)
-        )
-        w = bijection.phi(p)
-        print(w.to_json() if args.format == "json" else w.to_text())
+        p = partition_from_json(payload) if as_json else parse_partition(payload, args.k)
+        out = bijection.phi(p)
     else:
-        w = (
-            word_from_json(payload)
-            if args.format == "json"
-            else parse_word(payload, args.k)
-        )
-        p = bijection.phi_inverse(w)
-        print(p.to_json() if args.format == "json" else p.to_text())
+        w = word_from_json(payload) if as_json else parse_word(payload, args.k)
+        out = bijection.phi_inverse(w)
+    print(out.to_json() if as_json else out.to_text())
     return EXIT_OK
 
 

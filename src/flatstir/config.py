@@ -67,7 +67,6 @@ def _apply_file(cfg: Config, path: str) -> None:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         _set(cfg, key.strip(), value.strip(), f"{path}:{lineno}")
-    return None
 
 
 def _apply_env(cfg: Config, env: dict[str, str]) -> None:

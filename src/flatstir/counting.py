@@ -1,9 +1,11 @@
 """Exact counting of flattened k-Stirling words, total and run-refined.
 
-Three independent routes compute the total count (a recurrence, a Stirling
-number identity, and an EGF coefficient in `series`); closed forms cover
-words with two runs, three runs, and the k=2 maximum-run case.  All are
-cross-checked against brute-force enumeration in the test suite.
+Three independent routes compute the total count: a derivative triangle
+from F' = ((k-1) + e^(kz)) F, a Stirling number double sum, and the
+exponential formula in `series` (whose exp step is the paper's one-index
+recurrence).  Closed forms cover words with two runs, three runs, and the
+k=2 maximum-run case.  All are cross-checked against brute-force
+enumeration in the test suite.
 
 `count_table` reads its run refinements off the descent EGF (runs =
 descents + 1) and never enumerates, so every `CountTableRow` carries a
@@ -37,7 +39,7 @@ class CountContext:
     """Memo tables, passed explicitly; confine one instance to one thread."""
 
     _stirling_rows: list[list[int]] = field(default_factory=lambda: [[1]])
-    _flat_by_k: dict[int, list[int]] = field(default_factory=dict)
+    _flat_by_k: dict[int, tuple[list[int], list[int]]] = field(default_factory=dict)
     _bell: list[int] = field(default_factory=lambda: [1])
     _bell_row: list[int] = field(default_factory=lambda: [1])
 
@@ -76,22 +78,21 @@ def bell_number(n: int, ctx: CountContext | None = None) -> int:
 
 
 def count_flattened_recurrence(n: int, k: int, ctx: CountContext | None = None) -> int:
-    """|flt(Q_n^k)| by the recurrence
+    """|flt(Q_n^k)| = D_0(n-1) by the derivative triangle of F = egf_flattened(k).
 
-        f(m+1) = (k-1) f(m) + sum_{r=1}^{m} C(m-1, r-1) k^(r-1) f(m-r+1)
-
-    with f(1) = 1, grown on demand per k.
+    F' = ((k-1) + e^(kz)) F, so D_a(m) = m! [z^m] e^(akz) F satisfies
+    D_a(m+1) = (ak+k-1) D_a(m) + D_{a+1}(m) with D_a(0) = 1.  Per k, the memo
+    keeps the totals D_0(m) and the last anti-diagonal D_a(m-a), a = 0..m.
     """
     _check_nk(n, k)
     ctx = ctx or CountContext()
-    table = ctx._flat_by_k.setdefault(k, [0, 1])  # index by order; table[0] unused
-    while len(table) <= n:
-        m = len(table) - 1  # currently known up to order m; compute order m+1
-        total = (k - 1) * table[m]
-        for r in range(1, m + 1):
-            total += comb(m - 1, r - 1) * k ** (r - 1) * table[m - r + 1]
-        table.append(total)
-    return table[n]
+    totals, diag = ctx._flat_by_k.setdefault(k, ([1], [1]))
+    while len(totals) < n:
+        diag.append(1)  # D_{m+1}(0)
+        for a in range(len(diag) - 2, -1, -1):
+            diag[a] = (a * k + k - 1) * diag[a] + diag[a + 1]
+        totals.append(diag[0])
+    return totals[n - 1]
 
 
 def count_flattened_identity(n: int, k: int, ctx: CountContext | None = None) -> int:
@@ -285,7 +286,7 @@ def count_table(k: int, max_n: int, *, ctx: CountContext | None = None) -> Count
 
     Runs = descents + 1, so the refinement at order n is the descent
     polynomial, entry n-1 of one descent EGF.  The total comes from the
-    recurrence, and each row's sum check holds the two routes to each other.
+    triangle, and each row's sum check holds the two routes to each other.
     """
     from . import series  # local import: series depends on this module
 

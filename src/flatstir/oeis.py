@@ -3,8 +3,9 @@
 The three sequences tied to k = 2, 3, 4 are fetched as b-files (plain
 text, "index value" per line, '#' comments).  Fetches cache verbatim bytes
 on disk (atomic write) and degrade gracefully: network, then cache, then
-an embedded prefix computed by this package's own recurrence, so the
-offline path never relies on unverified third-party data.
+an embedded prefix computed by the Stirling-number identity (the check
+itself uses the recurrence), so the offline path never relies on unverified
+third-party data and still compares two different derivations.
 
 The index offset of each sequence is not assumed: the first three computed
 terms are located inside the fetched prefix and the resulting shift is
@@ -21,7 +22,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
-from .counting import CountContext, count_flattened_recurrence
+from .counting import CountContext, count_flattened_identity, count_flattened_recurrence
 from .errors import AlignmentError, BFileParseError, DomainError, SequenceUnavailableError
 
 SEQUENCE_BY_K = {2: "A007405", 3: "A355164", 4: "A355167"}
@@ -134,7 +135,7 @@ def _embedded_prefix(
         if seq == sequence_id:
             ctx = ctx or CountContext()
             return tuple(
-                (i, count_flattened_recurrence(i + 1, k, ctx)) for i in range(_EMBEDDED_TERMS)
+                (i, count_flattened_identity(i + 1, k, ctx)) for i in range(_EMBEDDED_TERMS)
             )
     return None
 

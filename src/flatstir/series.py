@@ -133,7 +133,8 @@ def egf_flattened(k: int, order: int, ctx: CountContext | None = None) -> EgfSer
     """F_k(z) = exp((k-1) z + (exp(kz) - 1)/k), truncated.
 
     Entry n equals the number of flattened k-Stirling words of order n+1.
-    The exponent has entries A_1 = k and A_n = k^(n-1).
+    The exponent has entries A_1 = k and A_n = k^(n-1); on it, the exp step
+    is the paper's recurrence f(m+1) = (k-1) f(m) + sum_r C(m-1, r-1) k^(r-1) f(m-r+1).
     """
     _check_k_order(k, order)
     exponent = ((),) + tuple((k if n == 1 else k ** (n - 1),) for n in range(1, order + 1))

@@ -196,7 +196,7 @@ def _check_worked_example(state: _State) -> str:
 def _check_run_closed_forms(state: _State) -> str:
     def refined(n: int, k: int, s: int) -> int:
         row = state.distribution(n, k).run_refined
-        return row[s - 1] if row is not None and len(row) >= s else 0
+        return row[s - 1] if len(row) >= s else 0
 
     for k in (1, 2, 3):
         for n in range(1, min(state.limits.max_n, 7) + 1):

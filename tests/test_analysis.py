@@ -123,6 +123,13 @@ def test_known_answers_with_repeated_roots(factors, c):
     assert not is_real_rooted(IntPolynomial(_product([real, (c, 0, 1)])))  # times t^2 + c
 
 
+@pytest.mark.parametrize("k,last_real_rooted", [(2, 26), (3, 40), (4, 53)])
+def test_real_rootedness_fails_one_order_past(k, last_real_rooted, ctx):
+    egf = descent_egf(k, last_real_rooted, ctx)  # entry n - 1 is order n
+    assert is_real_rooted(extract_descent_polynomial(egf, last_real_rooted - 1))
+    assert not is_real_rooted(extract_descent_polynomial(egf, last_real_rooted))
+
+
 class TestConjectureReport:
     def test_k2_through_order_10(self, ctx):
         rows = conjecture_report(2, 10, ctx)

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -27,6 +28,15 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--n", "5", "--k", "2", "--method", method)
         assert code == 0
         assert out.strip() == "116"
+
+    def test_prints_counts_past_the_int_str_digit_limit(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        argv = ["count", "--n", "200", "--k", str(10**25)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(out.strip()) > 4300  # Python's default int-to-str limit
+        assert run(capsys, *argv, "--method", "identity") == (0, out, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
 
     def test_series_approx_prints_integer_and_approximation(self, capsys):
         code, out, err = run(capsys, "count", "--n", "5", "--k", "2", "--method", "series-approx")

@@ -2,6 +2,7 @@ import pytest
 
 from flatstir import (
     ConvergenceError,
+    CountContext,
     CountTableRow,
     DomainError,
     bell_number,
@@ -73,6 +74,18 @@ class TestTotals:
     def test_identity_equals_recurrence(self, k, ctx):
         for n in range(1, 26):
             assert count_flattened_identity(n, k, ctx) == count_flattened_recurrence(n, k, ctx)
+
+    @pytest.mark.parametrize("n,k", [(300, 1), (300, 2), (300, 3), (300, 4), (600, 2)])
+    def test_identity_equals_recurrence_at_large_n(self, n, k):
+        ctx = CountContext()  # fresh: the Stirling rows up to n are large
+        assert count_flattened_identity(n, k, ctx) == count_flattened_recurrence(n, k, ctx)
+
+    def test_shared_context_grows_out_of_order(self):
+        shared = CountContext()
+        for k in (2, 3):
+            for n in (50, 3, 79):
+                fresh = count_flattened_recurrence(n, k, CountContext())
+                assert count_flattened_recurrence(n, k, shared) == fresh
 
     def test_rejects_n0(self, ctx):
         with pytest.raises(DomainError):

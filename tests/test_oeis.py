@@ -166,6 +166,18 @@ class TestCrossCheck:
         assert not report.all_match
         assert [r.match for r in report.rows] == [True] * 6 + [False]
 
+    def test_offline_check_is_not_circular(self, tmp_path, monkeypatch):
+        """A wrong count must not be checked against itself offline."""
+
+        def off_by_one(n, k, ctx=None):
+            return count_flattened_recurrence(n, k, ctx) + (n >= 5)
+
+        monkeypatch.setattr("flatstir.oeis.count_flattened_recurrence", off_by_one)
+        report = cross_check(2, 9, offline=True, cache_dir=str(tmp_path))
+        assert report.source == "embedded" and report.shift == 0
+        assert not report.all_match
+        assert [r.n for r in report.rows if not r.match] == list(range(4, 10))
+
     def test_short_prefix_rows_not_compared(self, tmp_path, ctx):
         (tmp_path / "b007405.txt").write_text(fake_bfile_text(K2_PREFIX[:4]))
         report = cross_check(2, 6, offline=True, cache_dir=str(tmp_path), ctx=ctx)
