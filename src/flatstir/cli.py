@@ -1,8 +1,8 @@
 """Command-line interface.
 
 All results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification mismatch, 2 usage error, 3 budget/resource, 4 network or
-sequence data unavailable.
+1 verification mismatch, 2 usage error, 3 budget exceeded or out of
+memory, 4 network or sequence data unavailable.
 """
 
 from __future__ import annotations
@@ -45,10 +45,14 @@ def main(argv: list[str] | None = None) -> int:
     if digits:  # exact counts outgrow the default 4300-digit int-to-str limit
         sys.set_int_max_str_digits(0)
     try:
+        if getattr(args, "k", None) is not None:  # every subcommand with --k
+            _require_order("--k", args.k)
         cfg = load_config(args.config)
         return args.handler(args, cfg)
     except BudgetExceededError as exc:
         return _fail("budget", exc, EXIT_RESOURCE)
+    except MemoryError as exc:
+        return _fail("resource", str(exc) or "out of memory", EXIT_RESOURCE)
     except (SequenceUnavailableError, AlignmentError, BFileParseError) as exc:
         return _fail("network", exc, EXIT_NETWORK)
     except ConvergenceError as exc:
@@ -63,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(digits)
 
 
-def _fail(category: str, exc: Exception, code: int) -> int:
+def _fail(category: str, exc: Exception | str, code: int) -> int:
     print(f"error: {category}: {exc}", file=sys.stderr)
     return code
 
@@ -151,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require_order(flag: str, value: int) -> None:
-    """Orders start at 1; name the user's flag, not a series order derived from it."""
+    """Orders and k start at 1; name the user's flag, not a value derived from it."""
     if value < 1:
         raise DomainError(f"{flag} must be >= 1, got {value}")
 

@@ -1,11 +1,12 @@
 """Exact counting of flattened k-Stirling words, total and run-refined.
 
 Three independent routes compute the total count: a derivative triangle
-from F' = ((k-1) + e^(kz)) F, a Stirling number double sum, and the
-exponential formula in `series` (whose exp step is the paper's one-index
-recurrence).  Closed forms cover words with two runs, three runs, and the
-k=2 maximum-run case.  All are cross-checked against brute-force
-enumeration in the test suite.
+from F' = ((k-1) + e^(kz)) F, a Stirling number double sum streamed one
+Stirling row at a time in O(n) memory, and the exponential formula in
+`series` (whose exp step is the paper's one-index recurrence).  Closed
+forms cover words with two runs, three runs, and the k=2 maximum-run
+case.  All are cross-checked against brute-force enumeration in the test
+suite.
 
 `count_table` reads its run refinements off the descent EGF (runs =
 descents + 1) and never enumerates, so every `CountTableRow` carries a
@@ -54,13 +55,18 @@ def stirling2(a: int, b: int, ctx: CountContext | None = None) -> int:
     ctx = ctx or CountContext()
     rows = ctx._stirling_rows
     while len(rows) <= a:
-        prev = rows[-1]
-        m = len(rows)
-        row = [0] * (m + 1)
-        for j in range(1, m + 1):
-            row[j] = j * prev[j] + prev[j - 1] if j < m else prev[j - 1]
-        rows.append(row)
+        rows.append(_next_stirling_row(rows[-1]))
     return rows[a][b]
+
+
+def _next_stirling_row(prev: list[int]) -> list[int]:
+    """Row S(a, 0..a) from row S(a-1, 0..a-1): S(a, j) = j S(a-1, j) + S(a-1, j-1)."""
+    a = len(prev)
+    row = [0] * (a + 1)
+    for j in range(1, a):
+        row[j] = j * prev[j] + prev[j - 1]
+    row[a] = prev[a - 1]
+    return row
 
 
 def bell_number(n: int, ctx: CountContext | None = None) -> int:
@@ -100,17 +106,22 @@ def count_flattened_identity(n: int, k: int, ctx: CountContext | None = None) ->
 
         sum_{i=0}^{m} C(m, i) (k-1)^i  sum_{r=0}^{m-i} k^(m-i-r) S(m-i, r)
 
-    with m = n-1.  The i=m boundary term is S(0,0)=1.
+    with m = n-1.  The i=m boundary term is S(0,0)=1.  The sum is streamed
+    over j = m-i: one Stirling row S(j, 0..j) is held at a time and the inner
+    sum is taken by Horner in k, so memory is O(n) integers.  `ctx` is
+    accepted for the routes' uniform signature; this route keeps no state.
     """
     _check_nk(n, k)
-    ctx = ctx or CountContext()
     m = n - 1
     total = 0
-    for i in range(m + 1):
+    row = [1]  # S(0, 0..0)
+    for j in range(m + 1):
+        if j:
+            row = _next_stirling_row(row)
         inner = 0
-        for r in range(m - i + 1):
-            inner += k ** (m - i - r) * stirling2(m - i, r, ctx)
-        total += comb(m, i) * (k - 1) ** i * inner
+        for s in row:
+            inner = inner * k + s
+        total += comb(m, j) * (k - 1) ** (m - j) * inner
     return total
 
 

@@ -331,3 +331,38 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == f"error: usage: {flag} must be >= 1, got 0\n"
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--n", "3"],
+            ["count", "--n", "5"],
+            ["count", "--n", "5", "--method", "series-approx"],
+            ["table", "--max-n", "3"],
+            ["bijection", "--direction", "forward"],
+            ["bijection", "--direction", "inverse"],
+            ["poly", "--n", "3"],
+            ["egf", "--order", "3"],
+            ["oeis", "--offline"],
+            ["conjecture", "--max-n", "3"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv if not a.isdigit()),
+    )
+    def test_k0_names_the_flag(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 1"))
+        code, out, err = run(capsys, *argv, "--k", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: --k must be >= 1, got 0\n"
+
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        def exhausted(n, k, ctx=None):
+            raise MemoryError
+
+        monkeypatch.setattr("flatstir.counting.count_flattened_identity", exhausted)
+        code, out, err = run(capsys, "count", "--n", "5", "--k", "2", "--method", "identity")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: resource: ")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from flatstir import (
@@ -57,6 +59,17 @@ class TestStirling2:
     def test_zero_blocks_of_nonempty_set(self, ctx):
         assert stirling2(4, 0, ctx) == 0
 
+    def test_memo_rows_unchanged(self, ctx):
+        """The shared row step fills the memo with the textbook triangle."""
+        size = 60
+        table = [[0] * (size + 2) for _ in range(size + 1)]
+        table[0][0] = 1
+        for a in range(1, size + 1):
+            for b in range(1, a + 1):
+                table[a][b] = b * table[a - 1][b] + table[a - 1][b - 1]
+        for a in range(size + 1):
+            assert [stirling2(a, b, ctx) for b in range(a + 2)] == table[a][: a + 2]
+
 
 class TestTotals:
     def test_recurrence_reference_values(self, ctx):
@@ -77,8 +90,20 @@ class TestTotals:
 
     @pytest.mark.parametrize("n,k", [(300, 1), (300, 2), (300, 3), (300, 4), (600, 2)])
     def test_identity_equals_recurrence_at_large_n(self, n, k):
-        ctx = CountContext()  # fresh: the Stirling rows up to n are large
+        ctx = CountContext()  # fresh: the triangle's memo for k grows to order n
         assert count_flattened_identity(n, k, ctx) == count_flattened_recurrence(n, k, ctx)
+
+    def test_identity_memory_is_linear(self):
+        """One Stirling row at a time: no triangle, in the memo or in memory."""
+        ctx = CountContext()
+        tracemalloc.start()
+        try:
+            count_flattened_identity(600, 2, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # the whole triangle up to 600 peaks near 41 MiB
+        assert ctx._stirling_rows == [[1]]
 
     def test_shared_context_grows_out_of_order(self):
         shared = CountContext()
