@@ -1,19 +1,18 @@
 """Command-line interface.
 
 All results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification mismatch, 2 usage error, 3 budget exceeded or out of
-memory, 4 network or sequence data unavailable.
+1 verification mismatch or series term cap hit, 2 usage error, 3 budget
+exceeded or out of memory, 4 network or sequence data unavailable.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from fractions import Fraction
 from math import factorial
-
-import mpmath
 
 from . import analysis, bijection, counting, enumeration, oeis, series
 from .config import Config, ConfigError, load_config
@@ -46,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         if getattr(args, "k", None) is not None:  # every subcommand with --k
-            _require_order("--k", args.k)
+            _require_at_least("--k", args.k)
         cfg = load_config(args.config)
         return args.handler(args, cfg)
     except BudgetExceededError as exc:
@@ -56,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SequenceUnavailableError, AlignmentError, BFileParseError) as exc:
         return _fail("network", exc, EXIT_NETWORK)
     except ConvergenceError as exc:
-        # exact/numeric cross-checks disagreeing is a verification failure
+        # the series route hit its term cap: no certified answer
         return _fail("internal", exc, EXIT_MISMATCH)
     except (ConfigError, FlatstirError, ValueError) as exc:
         return _fail("usage", exc, EXIT_USAGE)
@@ -154,10 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_order(flag: str, value: int) -> None:
-    """Orders and k start at 1; name the user's flag, not a value derived from it."""
-    if value < 1:
-        raise DomainError(f"{flag} must be >= 1, got {value}")
+def _require_at_least(flag: str, value: int, least: int = 1) -> None:
+    """Orders and k start at 1 (the default floor); name the user's flag, not a
+    value derived from it."""
+    if value < least:
+        raise DomainError(f"{flag} must be >= {least}, got {value}")
 
 
 def _budget(args: argparse.Namespace, cfg: Config) -> int | None:
@@ -186,7 +186,7 @@ def cmd_enumerate(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
-    _require_order("--n", args.n)
+    _require_at_least("--n", args.n)
     ctx = CountContext()
     if args.method == "recurrence":
         print(counting.count_flattened_recurrence(args.n, args.k, ctx))
@@ -196,11 +196,13 @@ def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
         egf = series.egf_flattened(args.k, args.n - 1, ctx)
         print(egf.egf_coefficient(args.n - 1))
     elif args.method == "series-approx":
+        _require_at_least("--precision-bits", args.precision_bits, 64)
         approx, rounded = counting.count_flattened_series_approx(
             args.n - 1, args.k, args.precision_bits
         )
         print(rounded)
-        print(mpmath.nstr(approx, 30), file=sys.stderr)
+        digits = decimal.Context(prec=30)
+        print(f"{digits.divide(approx.numerator, approx.denominator):.30g}", file=sys.stderr)
     else:
         total = sum(
             1 for _ in enumeration.gen_flattened(args.n, args.k, budget=_budget(args, cfg))
@@ -210,7 +212,7 @@ def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
-    _require_order("--max-n", args.max_n)
+    _require_at_least("--max-n", args.max_n)
     table = counting.count_table(args.k, args.max_n)
     if args.format == "json":
         payload = {
@@ -263,7 +265,7 @@ def cmd_bijection(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_poly(args: argparse.Namespace, cfg: Config) -> int:
-    _require_order("--n", args.n)
+    _require_at_least("--n", args.n)
     ctx = CountContext()
     if args.method == "egf":
         egf = series.descent_egf(args.k, args.n - 1, ctx)
@@ -292,8 +294,8 @@ def cmd_egf(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
-    _require_order("--max-n", args.max_n)
-    _require_order("--max-k", args.max_k)
+    _require_at_least("--max-n", args.max_n)
+    _require_at_least("--max-k", args.max_k)
     limits = VerifyLimits(
         max_n=args.max_n,
         max_k=args.max_k,
@@ -347,7 +349,7 @@ def cmd_oeis(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_conjecture(args: argparse.Namespace, cfg: Config) -> int:
-    _require_order("--max-n", args.max_n)
+    _require_at_least("--max-n", args.max_n)
     rows = analysis.conjecture_report(args.k, args.max_n)
     if args.format == "json":
         payload = [

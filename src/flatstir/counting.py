@@ -13,10 +13,8 @@ descents + 1) and never enumerates, so every `CountTableRow` carries a
 refinement; `run_distribution_bruteforce` is the enumeration oracle that
 tests and `verify` hold the table to.
 
-All arithmetic is exact arbitrary-precision integers except the explicit
-series approximation, which evaluates a convergent positive series in
-floating point, sizes its precision to the result and certifies that it
-rounds to the exact count, or refuses.
+All arithmetic is exact: the series approximation sums truncated series
+in integers, so its error bound holds by construction.
 
 Stirling numbers of the second kind use S(0,0)=1 and S(a,0)=0 for a >= 1;
 the identity's boundary term requires the S(0,0)=1 convention.
@@ -27,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
-
-import mpmath
 
 from .errors import ConvergenceError, DomainError
 
@@ -127,70 +123,44 @@ def count_flattened_identity(n: int, k: int, ctx: CountContext | None = None) ->
 
 def count_flattened_series_approx(
     n: int, k: int, precision_bits: int = 128, *, max_terms: int = 10000
-) -> tuple[mpmath.mpf, int]:
-    """Evaluate e^(-1/k) * sum_{r>=0} (kr+k-1)^n / (r! k^r) numerically.
+) -> tuple[Fraction, int]:
+    """Evaluate e^(-1/k) * sum_{r>=0} (kr+k-1)^n / (r! k^r) in exact integers.
 
-    The exponent n counts words of order n+1.  The term ratio decreases in
-    r, so once it is below 1/2 the tail is at most twice the next term;
-    terms are added until that bound is below 2^(-precision_bits/2), an
-    absolute bound.  At `bits` of precision, rounding (each term, the sum,
-    exp and the product) costs at most (terms + 16) * 2^-bits of the partial
-    sum, which must come to at most 1/4.  `precision_bits` is a floor: if it
-    is too small for that,
-    the sum is redone once with the precision sized from the partial sum
-    and the number of terms.  The total error is then below 1/2, so the
-    nearest integer is the exact count; ConvergenceError is raised when that
-    cannot be certified.  Returns (approximation, integer).
+    The exponent n counts words of order n+1.  With h = precision_bits // 2:
+    the term ratio decreases in r, so once it is below 1/2 the tail is at
+    most twice the next term, and terms are added until that bound is below
+    2^-h.  e^(-1/k) comes from its alternating series, whose error is below
+    the first omitted term; terms are added until the partial sum P times
+    that term is below 2^-(h+1).  The approximation is then within
+    1.5 * 2^-h < 1/2 of the exact count.  Returns (approximation, integer).
     """
     if n < 0 or k < 1:
         raise DomainError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
     if precision_bits < 64:
         raise DomainError("precision_bits must be at least 64")
-    bits = precision_bits
-    while True:
-        with mpmath.workprec(bits):
-            partial, terms = _series_partial_sum(n, k, precision_bits // 2, max_terms)
-            # partial < 2^(exp + bc), so this many bits put the round-off at <= 1/4
-            needed = partial.exp + partial.bc + (terms + 16).bit_length() + 2
-            if needed <= bits:
-                approx = mpmath.exp(mpmath.mpf(-1) / k) * partial
-                return approx, int(mpmath.nint(approx))
-        if bits > precision_bits:
-            raise ConvergenceError(
-                f"series for n={n}, k={k}: rounding error not certified at {bits} bits"
-            )
-        bits = needed + 16
-
-
-def _series_partial_sum(
-    n: int, k: int, tail_bits: int, max_terms: int
-) -> tuple[mpmath.mpf, int]:
-    """Sum terms r = 0..R until the tail after R is below 2^-tail_bits.
-
-    Returns (partial sum, R + 1).  Call under the working precision.
-    """
-    eps = mpmath.mpf(2) ** -tail_bits
-    partial = mpmath.mpf(0)
+    h = precision_bits // 2
+    num, den = 0, 1  # P = num / den with den = r! k^r
+    term = (k - 1) ** n  # term r times den
     r = 0
-    term = _series_term(n, k, 0)
     while True:
-        partial += term
-        nxt = _series_term(n, k, r + 1)
-        if term > 0 and nxt < term / 2 and 2 * nxt < eps:
-            return partial, r + 1
+        num += term
+        nxt = (k * r + 2 * k - 1) ** n  # term r+1 times den * step
+        step = (r + 1) * k
+        if term and 2 * nxt < term * step and nxt << (h + 1) < den * step:
+            break
         if r >= max_terms:
             raise ConvergenceError(
-                f"series for n={n}, k={k} not converged after {max_terms} terms "
-                f"(last term {mpmath.nstr(nxt, 8)}, partial {mpmath.nstr(partial, 8)})"
+                f"series for n={n}, k={k} not converged after {max_terms} terms"
             )
-        term = nxt
-        r += 1
-
-
-def _series_term(n: int, k: int, r: int) -> mpmath.mpf:
-    num = (k * r + k - 1) ** n
-    den = factorial(r) * k**r
-    return mpmath.mpf(num) / mpmath.mpf(den)
+        num, den, term, r = num * step, den * step, nxt, r + 1
+    # e^(-1/k) ~ e_num / (j! k^j), and den_e = den * j! k^j is the product's denominator
+    e_num, j, den_e, scaled = 1, 0, den, num << (h + 1)
+    while scaled >= den_e * (j + 1) * k:
+        j += 1
+        e_num = e_num * j * k + (-1) ** j
+        den_e *= j * k
+    approx = Fraction(num * e_num, den_e)
+    return approx, round(approx)
 
 
 def count_runs_2(n: int, k: int) -> int:

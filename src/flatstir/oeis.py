@@ -77,7 +77,6 @@ def fetch_bfile(
     cache_dir: str | None = None,
     offline: bool = False,
     timeout: float = DEFAULT_TIMEOUT,
-    ctx: CountContext | None = None,
 ) -> BFile:
     """Fetch a b-file with cache and embedded-prefix fallback."""
     if not _ID_PATTERN.match(sequence_id):
@@ -96,7 +95,7 @@ def fetch_bfile(
         with open(cache_path, "r", encoding="utf-8") as fh:
             return BFile(sequence_id, "cache", parse_bfile(fh.read()))
 
-    embedded = _embedded_prefix(sequence_id, ctx)
+    embedded = _embedded_prefix(sequence_id)
     if embedded is not None:
         return BFile(sequence_id, "embedded", embedded)
     raise SequenceUnavailableError(
@@ -128,15 +127,10 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-def _embedded_prefix(
-    sequence_id: str, ctx: CountContext | None
-) -> tuple[tuple[int, int], ...] | None:
+def _embedded_prefix(sequence_id: str) -> tuple[tuple[int, int], ...] | None:
     for k, seq in SEQUENCE_BY_K.items():
         if seq == sequence_id:
-            ctx = ctx or CountContext()
-            return tuple(
-                (i, count_flattened_identity(i + 1, k, ctx)) for i in range(_EMBEDDED_TERMS)
-            )
+            return tuple((i, count_flattened_identity(i + 1, k)) for i in range(_EMBEDDED_TERMS))
     return None
 
 
@@ -187,9 +181,7 @@ def cross_check(
     ctx = ctx or CountContext()
     sequence_id = SEQUENCE_BY_K[k]
     cache_dir = cache_dir or default_cache_dir()
-    bfile = fetch_bfile(
-        sequence_id, cache_dir=cache_dir, offline=offline, timeout=timeout, ctx=ctx
-    )
+    bfile = fetch_bfile(sequence_id, cache_dir=cache_dir, offline=offline, timeout=timeout)
     computed = [count_flattened_recurrence(n + 1, k, ctx) for n in range(max_n + 1)]
     shift = _align(sequence_id, computed[:3], bfile.values, cache_dir)
     rows = []

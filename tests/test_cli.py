@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -48,6 +50,13 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--n", "40", "--k", "2", "--method", "series-approx")
         assert code == 0
         assert out == "4439679512667761787625302425489448814772224\n"
+
+    def test_low_precision_names_the_flag(self, capsys):
+        argv = ["count", "--n", "5", "--k", "2", "--method", "series-approx"]
+        code, out, err = run(capsys, *argv, "--precision-bits", "32")
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: --precision-bits must be >= 64, got 32\n"
 
     def test_n0_is_usage_error(self, capsys):
         code, _, err = run(capsys, "count", "--n", "0", "--k", "2")
@@ -366,3 +375,13 @@ class TestErrors:
         assert code == 3
         assert out == ""
         assert err.startswith("error: resource: ")
+
+
+def test_cli_import_does_not_load_mpmath():
+    # a fresh interpreter: this one may have imported mpmath for other reasons
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, flatstir.cli; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout == "False\n"

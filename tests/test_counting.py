@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -156,6 +157,18 @@ class TestSeriesApprox:
         exact = 4439679512667761787625302425489448814772224
         for bits in (64, 128, 512):
             assert count_flattened_series_approx(39, 2, bits)[1] == exact
+
+    @pytest.mark.parametrize("bits", [64, 128, 512])
+    def test_error_is_certified(self, bits, ctx):
+        # the approximation itself, not only its rounding, is within 1.5 * 2^-(bits/2)
+        bound = Fraction(3, 2 ** (bits // 2 + 1))
+        for k in (1, 2, 3, 4):
+            for n in range(101):
+                exact = count_flattened_recurrence(n + 1, k, ctx)
+                approx, rounded = count_flattened_series_approx(n, k, bits)
+                assert isinstance(approx, Fraction)
+                assert abs(approx - exact) < bound, f"n={n}, k={k}"
+                assert rounded == exact
 
     def test_term_cap_raises(self):
         with pytest.raises(ConvergenceError):

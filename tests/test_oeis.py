@@ -65,7 +65,7 @@ class TestFetch:
                 fetch_bfile(bad, cache_dir=str(tmp_path))
 
     def test_offline_embedded(self, tmp_path, ctx):
-        got = fetch_bfile("A007405", cache_dir=str(tmp_path), offline=True, ctx=ctx)
+        got = fetch_bfile("A007405", cache_dir=str(tmp_path), offline=True)
         assert got.source == "embedded"
         assert len(got.terms) == 10
         assert got.values == tuple(
