@@ -44,8 +44,10 @@ def main(argv: list[str] | None = None) -> int:
     if digits:  # exact counts outgrow the default 4300-digit int-to-str limit
         sys.set_int_max_str_digits(0)
     try:
-        if getattr(args, "k", None) is not None:  # every subcommand with --k
-            _require_at_least("--k", args.k)
+        for flag, least in (("k", 1), ("budget", 0), ("order", 0)):  # wherever given
+            value = getattr(args, flag, None)
+            if value is not None:
+                _require_at_least(f"--{flag}", value, least)
         cfg = load_config(args.config)
         return args.handler(args, cfg)
     except BudgetExceededError as exc:
@@ -154,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require_at_least(flag: str, value: int, least: int = 1) -> None:
-    """Orders and k start at 1 (the default floor); name the user's flag, not a
-    value derived from it."""
+    """Orders and k start at 1 (the default floor), truncations and budgets at
+    0; name the user's flag, not a value derived from it."""
     if value < least:
         raise DomainError(f"{flag} must be >= {least}, got {value}")
 

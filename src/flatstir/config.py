@@ -3,11 +3,13 @@
 Precedence: command-line flags > environment variables > config file >
 built-in defaults.  The config file is flat "key = value" text; '#' starts
 a comment.  Recognized keys: budget, truncation_order, oeis_timeout,
-cache_dir.
+cache_dir.  budget and truncation_order must be >= 0, oeis_timeout finite
+and > 0.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -79,14 +81,15 @@ def _apply_env(cfg: Config, env: dict[str, str]) -> None:
 def _set(cfg: Config, key: str, value: str, where: str) -> None:
     if key not in _KEYS:
         raise ConfigError(f"{where}: unknown config key {key!r}")
+    if key == "cache_dir":
+        cfg.cache_dir = value
+        return
+    timeout = key == "oeis_timeout"
     try:
-        if key == "budget":
-            cfg.budget = int(value)
-        elif key == "truncation_order":
-            cfg.truncation_order = int(value)
-        elif key == "oeis_timeout":
-            cfg.oeis_timeout = float(value)
-        else:
-            cfg.cache_dir = value
+        number = float(value) if timeout else int(value)
     except ValueError:
         raise ConfigError(f"{where}: bad value {value!r} for {key}") from None
+    if not (0 < number < math.inf if timeout else number >= 0):  # also rejects a NaN timeout
+        rule = "finite and > 0" if timeout else ">= 0"
+        raise ConfigError(f"{where}: {key} must be {rule}, got {value}")
+    setattr(cfg, key, number)

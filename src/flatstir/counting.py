@@ -2,11 +2,11 @@
 
 Three independent routes compute the total count: a derivative triangle
 from F' = ((k-1) + e^(kz)) F, a Stirling number double sum streamed one
-Stirling row at a time in O(n) memory, and the exponential formula in
-`series` (whose exp step is the paper's one-index recurrence).  Closed
-forms cover words with two runs, three runs, and the k=2 maximum-run
-case.  All are cross-checked against brute-force enumeration in the test
-suite.
+k-weighted Stirling row at a time in O(n) memory, and the exponential
+formula in `series` (whose exp step is the paper's one-index
+recurrence).  Closed forms cover words with two runs, three runs, and
+the k=2 maximum-run case.  All are cross-checked against brute-force
+enumeration in the test suite.
 
 `count_table` reads its run refinements off the descent EGF (runs =
 descents + 1) and never enumerates, so every `CountTableRow` carries a
@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
+from operator import add, mul
 
 from .errors import ConvergenceError, DomainError
 
@@ -55,14 +57,10 @@ def stirling2(a: int, b: int, ctx: CountContext | None = None) -> int:
     return rows[a][b]
 
 
-def _next_stirling_row(prev: list[int]) -> list[int]:
-    """Row S(a, 0..a) from row S(a-1, 0..a-1): S(a, j) = j S(a-1, j) + S(a-1, j-1)."""
-    a = len(prev)
-    row = [0] * (a + 1)
-    for j in range(1, a):
-        row[j] = j * prev[j] + prev[j - 1]
-    row[a] = prev[a - 1]
-    return row
+def _next_stirling_row(prev: list[int], k: int = 1) -> list[int]:
+    """Row T(a, 0..a) from row T(a-1, 0..a-1) by T(a, j) = jk T(a-1, j) + T(a-1, j-1);
+    T(a, j) = k^(a-j) S(a, j), so k = 1 steps the Stirling row itself."""
+    return [0, *map(add, map(mul, range(k, len(prev) * k, k), prev[1:]), prev), prev[-1]]
 
 
 def bell_number(n: int, ctx: CountContext | None = None) -> int:
@@ -71,9 +69,7 @@ def bell_number(n: int, ctx: CountContext | None = None) -> int:
         raise DomainError(f"Bell numbers need n >= 0, got {n}")
     ctx = ctx or CountContext()
     while len(ctx._bell) <= n:
-        row = [ctx._bell_row[-1]]
-        for v in ctx._bell_row:
-            row.append(row[-1] + v)
+        row = list(accumulate(ctx._bell_row, initial=ctx._bell_row[-1]))
         ctx._bell_row = row
         ctx._bell.append(row[0])
     return ctx._bell[n]
@@ -103,21 +99,18 @@ def count_flattened_identity(n: int, k: int, ctx: CountContext | None = None) ->
         sum_{i=0}^{m} C(m, i) (k-1)^i  sum_{r=0}^{m-i} k^(m-i-r) S(m-i, r)
 
     with m = n-1.  The i=m boundary term is S(0,0)=1.  The sum is streamed
-    over j = m-i: one Stirling row S(j, 0..j) is held at a time and the inner
-    sum is taken by Horner in k, so memory is O(n) integers.  `ctx` is
+    over j = m-i: one row T(j, r) = k^(j-r) S(j, r) is held at a time, so the
+    inner sum is the row's sum, and the outer sum is taken by Horner in k-1
+    with C(m, j) advanced from C(m, j-1); memory is O(n) integers.  `ctx` is
     accepted for the routes' uniform signature; this route keeps no state.
     """
     _check_nk(n, k)
     m = n - 1
-    total = 0
-    row = [1]  # S(0, 0..0)
-    for j in range(m + 1):
-        if j:
-            row = _next_stirling_row(row)
-        inner = 0
-        for s in row:
-            inner = inner * k + s
-        total += comb(m, j) * (k - 1) ** (m - j) * inner
+    total, c, row = 1, 1, [1]  # the j = 0 term, C(m, 0) T(0, 0)
+    for j in range(1, m + 1):
+        row = _next_stirling_row(row, k)
+        c = c * (m - j + 1) // j
+        total = total * (k - 1) + c * sum(row)
     return total
 
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 from .counting import CountContext, count_flattened_identity, count_flattened_recurrence
@@ -104,6 +102,9 @@ def fetch_bfile(
 
 
 def _download(sequence_id: str, timeout: float) -> str | None:
+    import urllib.error  # local import: only a fetch pays for the HTTP stack
+    import urllib.request
+
     url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
     for _ in range(2):  # one retry
         try:

@@ -5,7 +5,7 @@ integer polynomial in t equal to n! [z^n].  Every series built here comes
 from the exponential formula over weighted labelled structures, so these
 entries are integers and no denominator is ever carried.  A univariate EGF
 is the case where every entry is a constant.  Binary operations truncate
-to the shorter operand.
+to the shorter operand; products and exp advance Pascal rows for C(n, i).
 
 Two concrete generating functions live here:
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
+from operator import add
 from typing import Sequence
 
 from .counting import CountContext, stirling2
@@ -68,15 +69,23 @@ def _trim(p) -> TPoly:
     return tuple(p)
 
 
-def _binomial_convolution(a: Sequence[TPoly], b: Sequence[TPoly], n: int) -> TPoly:
-    """sum_{i=0}^{n} C(n, i) a_i b_{n-i}, products taken in t."""
-    acc = [0] * max(len(a[i]) + len(b[n - i]) for i in range(n + 1))
-    for i in range(n + 1):
-        c = comb(n, i)
-        for d, x in enumerate(a[i]):
+def _pascal_rows(count: int):
+    """C(n, 0..n) for n = 0..count-1, each row advanced from the last."""
+    row = [1]
+    for _ in range(count):
+        yield row
+        row = [1, *map(add, row, row[1:]), 1]
+
+
+def _binomial_convolution(row: Sequence[int], a: Sequence[TPoly], b: Sequence[TPoly]) -> TPoly:
+    """sum_i row[i] a_i b_{n-i} for the Pascal row C(n, 0..n), products taken in t."""
+    terms = tuple(zip(row, a, b[len(row) - 1 :: -1]))
+    acc = [0] * max(len(p) + len(q) for _, p, q in terms)
+    for c, p, q in terms:
+        for d, x in enumerate(p):
             if x:
                 cx = c * x
-                for e, y in enumerate(b[n - i], start=d):
+                for e, y in enumerate(q, start=d):
                     acc[e] += cx * y
     return _trim(acc)
 
@@ -107,10 +116,8 @@ class EgfSeries:
 
     def __mul__(self, other: "EgfSeries") -> "EgfSeries":
         """The EGF product: entry n is sum_i C(n, i) A_i B_{n-i}."""
-        n_max = min(self.order, other.order)
-        return EgfSeries(
-            tuple(_binomial_convolution(self.coeffs, other.coeffs, n) for n in range(n_max + 1))
-        )
+        rows = _pascal_rows(min(self.order, other.order) + 1)
+        return EgfSeries(tuple(_binomial_convolution(r, self.coeffs, other.coeffs) for r in rows))
 
     def exp(self) -> "EgfSeries":
         """exp of a series with zero z^0 entry, by the convolution
@@ -119,8 +126,8 @@ class EgfSeries:
             raise DomainError("exp needs a zero z^0 coefficient")
         shifted = self.coeffs[1:]
         g: list[TPoly] = [(1,)]
-        for n in range(self.order):
-            g.append(_binomial_convolution(shifted, g, n))
+        for row in _pascal_rows(self.order):
+            g.append(_binomial_convolution(row, shifted, g))
         return EgfSeries(tuple(g))
 
 

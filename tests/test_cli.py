@@ -231,6 +231,12 @@ class TestEgf:
         assert payload["coefficients"][0] == "1"
         assert payload["coefficients"][2] == "6"  # 12/2!
 
+    def test_negative_order_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "egf", "--k", "2", "--order", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: --order must be >= 0, got -1\n"
+
 
 class TestOeis:
     def test_offline_text(self, capsys, tmp_path, monkeypatch):
@@ -322,6 +328,48 @@ class TestConfig:
         assert code == 2
         assert "unknown config key" in err
 
+    BAD_SIZES = [
+        ("budget", "-1", ">= 0"),
+        ("truncation_order", "-3", ">= 0"),
+        ("oeis_timeout", "0", "finite and > 0"),
+        ("oeis_timeout", "inf", "finite and > 0"),  # a socket timeout overflows on it
+    ]
+
+    @pytest.mark.parametrize("key,value,rule", BAD_SIZES, ids=[f"{k}={v}" for k, v, _ in BAD_SIZES])
+    def test_bad_size_in_file_names_path_and_line(self, capsys, tmp_path, key, value, rule):
+        cfg = tmp_path / "flatstir.conf"
+        cfg.write_text(f"# sizes\n{key} = {value}\n")
+        code, out, err = run(capsys, "--config", str(cfg), "egf", "--k", "2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: usage: {cfg}:2: {key} must be {rule}, got {value}\n"
+
+    @pytest.mark.parametrize("key,value,rule", BAD_SIZES, ids=[f"{k}={v}" for k, v, _ in BAD_SIZES])
+    def test_bad_size_in_environment_names_the_variable(self, capsys, monkeypatch, key, value,
+                                                        rule):
+        var = f"FLATSTIR_{key.upper()}"
+        monkeypatch.setenv(var, value)
+        code, out, err = run(capsys, "egf", "--k", "2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: usage: environment {var}: {key} must be {rule}, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--n", "3", "--k", "2"],
+            ["count", "--n", "3", "--k", "2", "--method", "bruteforce"],
+            ["poly", "--n", "3", "--k", "2", "--method", "bruteforce"],
+            ["verify", "--offline", "--max-n", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_budget_flag_names_the_flag(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--budget", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: --budget must be >= 0, got -1\n"
+
 
 class TestVerify:
     def test_small_grid_passes(self, capsys, tmp_path, monkeypatch):
@@ -378,10 +426,12 @@ class TestErrors:
 
 
 def test_cli_import_does_not_load_mpmath():
-    # a fresh interpreter: this one may have imported mpmath for other reasons
+    # a fresh interpreter: this one may have imported these for other reasons;
+    # the HTTP stack is loaded only by a fetch
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = "import sys, flatstir.cli; print('mpmath' in sys.modules)"
+    code = ("import sys, flatstir.cli; flatstir.cli.build_parser(); "
+            "print([m for m in ('mpmath', 'urllib.request', 'http.client') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -20,6 +21,7 @@ from flatstir import (
     run_distribution_bruteforce,
     stirling2,
 )
+from flatstir.counting import _next_stirling_row
 
 TOTALS_K2 = [1, 2, 6, 24, 116, 648, 4088, 28640, 219920, 1832224]  # n = 1..10
 
@@ -71,6 +73,20 @@ class TestStirling2:
         for a in range(size + 1):
             assert [stirling2(a, b, ctx) for b in range(a + 2)] == table[a][: a + 2]
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_weighted_row_is_scaled_stirling(self, k):
+        """The identity's row step T(a, j) = jk T(a-1, j) + T(a-1, j-1) gives
+        k^(a-j) S(a, j), with S from its explicit inclusion-exclusion sum."""
+        row = [1]
+        for a in range(61):
+            if a:
+                row = _next_stirling_row(row, k)
+            explicit = [
+                sum((-1) ** i * comb(j, i) * (j - i) ** a for i in range(j + 1)) // factorial(j)
+                for j in range(a + 1)
+            ]
+            assert row == [k ** (a - j) * s for j, s in enumerate(explicit)]
+
 
 class TestTotals:
     def test_recurrence_reference_values(self, ctx):
@@ -89,7 +105,9 @@ class TestTotals:
         for n in range(1, 26):
             assert count_flattened_identity(n, k, ctx) == count_flattened_recurrence(n, k, ctx)
 
-    @pytest.mark.parametrize("n,k", [(300, 1), (300, 2), (300, 3), (300, 4), (600, 2)])
+    @pytest.mark.parametrize(
+        "n,k", [(300, 1), (300, 2), (300, 3), (300, 4), (600, 2), (600, 3), (600, 4)]
+    )
     def test_identity_equals_recurrence_at_large_n(self, n, k):
         ctx = CountContext()  # fresh: the triangle's memo for k grows to order n
         assert count_flattened_identity(n, k, ctx) == count_flattened_recurrence(n, k, ctx)

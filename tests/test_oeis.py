@@ -85,7 +85,7 @@ class TestFetch:
             calls.append(url)
             return _FakeResponse(text.encode())
 
-        monkeypatch.setattr("flatstir.oeis.urllib.request.urlopen", fake_urlopen)
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         got = fetch_bfile("A007405", cache_dir=str(tmp_path))
         assert got.source == "network"
         assert "b007405.txt" in calls[0]
@@ -102,7 +102,7 @@ class TestFetch:
         def broken_urlopen(url, timeout=None):
             raise urllib.error.URLError("no route to host")
 
-        monkeypatch.setattr("flatstir.oeis.urllib.request.urlopen", broken_urlopen)
+        monkeypatch.setattr("urllib.request.urlopen", broken_urlopen)
         got = fetch_bfile("A007405", cache_dir=str(tmp_path))
         assert got.source == "cache"
         assert got.values[:4] == (1, 2, 6, 24)
@@ -111,7 +111,7 @@ class TestFetch:
         def broken_urlopen(url, timeout=None):
             raise urllib.error.URLError("offline")
 
-        monkeypatch.setattr("flatstir.oeis.urllib.request.urlopen", broken_urlopen)
+        monkeypatch.setattr("urllib.request.urlopen", broken_urlopen)
         got = fetch_bfile("A007405", cache_dir=str(tmp_path))
         assert got.source == "embedded"
 

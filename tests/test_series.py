@@ -1,7 +1,10 @@
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
 from flatstir import (
+    CountContext,
     DomainError,
     EgfSeries,
     IntPolynomial,
@@ -79,6 +82,39 @@ def test_exp_inverse_property(s):
     assert z.exp() * negated(z).exp() == one(z.order)
 
 
+def reference_convolution(a, b, n):
+    """sum_i C(n, i) a_i b_{n-i} in t, with math.comb for every term."""
+    acc = [0] * (max(map(len, a[: n + 1])) + max(map(len, b[: n + 1])))
+    for i in range(n + 1):
+        for d, x in enumerate(a[i]):
+            for e, y in enumerate(b[n - i]):
+                acc[d + e] += comb(n, i) * x * y
+    return tuple(acc)
+
+
+@st.composite
+def signed_series(draw):
+    order = draw(st.integers(min_value=0, max_value=12))
+    entry = st.lists(st.integers(-50, 50), max_size=3)
+    return EgfSeries(tuple(tuple(draw(entry)) for _ in range(order + 1)))
+
+
+@given(signed_series(), signed_series())
+def test_product_matches_per_term_binomials(a, b):
+    n_max = min(a.order, b.order)
+    want = tuple(reference_convolution(a.coeffs, b.coeffs, n) for n in range(n_max + 1))
+    assert a * b == EgfSeries(want)
+
+
+@given(signed_series())
+def test_exp_matches_per_term_binomials(s):
+    shifted = s.coeffs[1:]
+    g = [(1,)]
+    for n in range(s.order):
+        g.append(reference_convolution(shifted, g, n))
+    assert EgfSeries(((),) + shifted).exp() == EgfSeries(tuple(g))
+
+
 class TestEgfFlattened:
     def test_k2_order10(self, ctx):
         egf = egf_flattened(2, 9, ctx)
@@ -95,6 +131,13 @@ class TestEgfFlattened:
     def test_matches_recurrence(self, k, ctx):
         egf = egf_flattened(k, 24, ctx)
         for n in range(25):
+            assert egf.egf_coefficient(n) == count_flattened_recurrence(n + 1, k, ctx)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_triangle_at_order_300(self, k):
+        ctx = CountContext()  # fresh: the triangle's memo for k grows to order 300
+        egf = egf_flattened(k, 299, ctx)
+        for n in range(300):
             assert egf.egf_coefficient(n) == count_flattened_recurrence(n + 1, k, ctx)
 
 
