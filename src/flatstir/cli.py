@@ -170,6 +170,7 @@ def _budget(args: argparse.Namespace, cfg: Config) -> int | None:
 
 
 def cmd_enumerate(args: argparse.Namespace, cfg: Config) -> int:
+    _require_at_least("--n", args.n)
     budget = _budget(args, cfg)
     if args.kind == "partitions":
         if args.flattened:
@@ -319,6 +320,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_oeis(args: argparse.Namespace, cfg: Config) -> int:
+    _require_at_least("--max-n", args.max_n, 2)  # alignment uses the first three terms
     report = oeis.cross_check(
         args.k,
         args.max_n,

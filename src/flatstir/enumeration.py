@@ -17,8 +17,15 @@ chain yields plain letter tuples.
 Words and partitions built here are correct by construction, so they are
 trusted: neither is re-validated.  The filter route tests only the
 run-leader condition, on the letter tuple, and builds a word only for the
-tuples that pass; it stays a plain filter over all of Q_n^k, independent
-of phi.
+tuples that pass; it never touches phi.  It prunes the same insertion walk
+at every order, by this lemma: if w in Q_m^k is flattened, so is the word
+of order m-1 that w was built from.  Proof: m^k is one contiguous block,
+w = u m^k v; every run leader of u v is a leader of w, in the same order,
+because deleting the block at most merges v's first run into u's last.
+So a word that fails the condition at order m has no flattened
+descendant, and dropping it leaves the surviving words in the order the
+full walk yields them.  The budget guard still counts all of Q_n^k, now an
+upper bound on the pruned walk.
 """
 
 from __future__ import annotations
@@ -94,16 +101,22 @@ def gen_flattened(
 ) -> Iterator[StirlingWord]:
     """Yield the flattened members of Q_n^k.
 
-    via="filter" screens the full Q_n^k stream; via="bijection" maps the
+    via="filter" walks Q_n^k by insertion and drops every word whose run
+    leaders fail to weakly increase at the order where it appears: a word
+    that is not flattened has no flattened descendant (module docstring),
+    so it yields the flattened words of `gen_stirling`'s stream in that
+    stream's order.  Its budget is checked against |Q_n^k|.  via="bijection" maps the
     good-partition stream through phi.  The two routes must agree as sets
     and the test suite holds them to that.
     """
     _check_nk(n, k)
     if via == "filter":
         _check_stirling_budget(n, k, budget)
-        for letters in _stirling_letters(n, k):
-            if _leaders_weakly_increase(letters):
-                yield _trusted_word(letters, n, k)
+        words: Iterator[tuple[int, ...]] = iter([()])
+        for m in range(1, n + 1):
+            words = filter(_leaders_weakly_increase, _insert_block(words, (m,) * k))
+        for letters in words:
+            yield _trusted_word(letters, n, k)
     elif via == "bijection":
         for p in gen_gcp(n, k, budget=budget):
             yield _trusted_word(_phi_letters(p), n, k)

@@ -181,6 +181,13 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == 3
 
+    @pytest.mark.parametrize("extra", [[], ["--flattened"], ["--as", "partitions"]])
+    def test_n0_names_the_flag(self, capsys, extra):
+        code, out, err = run(capsys, "enumerate", "--n", "0", "--k", "2", *extra)
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: --n must be >= 1, got 0\n"
+
 
 class TestTable:
     def test_markdown(self, capsys):
@@ -265,6 +272,14 @@ class TestOeis:
         code, out, _ = run(capsys, "oeis", "--k", "2", "--offline", "--max-n", "9")
         assert code == 1
         assert "MISMATCH" in out
+
+    @pytest.mark.parametrize("max_n", ["0", "1"])
+    def test_small_max_n_names_the_flag(self, capsys, tmp_path, monkeypatch, max_n):
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        code, out, err = run(capsys, "oeis", "--k", "2", "--offline", "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: usage: --max-n must be >= 2, got {max_n}\n"
 
     def test_corrupt_pin_names_file_and_line(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))

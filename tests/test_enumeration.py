@@ -109,6 +109,17 @@ class TestFlattenedGenerator:
         with pytest.raises(ValueError):
             next(gen_flattened(2, 2, via="magic"))
 
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(1, 4)])
+    def test_deleting_the_top_block_keeps_a_word_flattened(self, n, k):
+        # the lemma the filter route prunes by, checked on every flattened word
+        for w in gen_stirling(n, k):
+            if not is_flattened(w):
+                continue
+            first = w.letters.index(n)
+            assert w.letters[first:first + k] == (n,) * k
+            parent = w.letters[:first] + w.letters[first + k:]
+            assert is_flattened(StirlingWord(parent, n - 1, k))
+
 
 class TestGcpGenerator:
     def test_n2_k2(self):
@@ -157,7 +168,7 @@ class TestTrustedConstruction:
             assert p == q
             assert validate(p)
 
-    @pytest.mark.parametrize("n,k", SMALL)
+    @pytest.mark.parametrize("n,k", SMALL + [(7, 2), (6, 3), (5, 4)])
     def test_filter_route_is_the_checked_filter(self, n, k):
         expected = [w for w in gen_stirling(n, k) if is_flattened(w)]
         assert list(gen_flattened(n, k, via="filter")) == expected
