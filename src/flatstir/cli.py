@@ -10,9 +10,12 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import os
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import factorial
+from operator import methodcaller
 
 from . import analysis, bijection, counting, enumeration, oeis, series
 from .config import Config, ConfigError, load_config
@@ -36,6 +39,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_NETWORK = 4
 
+ENUMERATE_CHUNK_LINES = 1024
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
@@ -49,7 +54,9 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None:
                 _require_at_least(f"--{flag}", value, least)
         cfg = load_config(args.config)
-        return args.handler(args, cfg)
+        code = args.handler(args, cfg)
+        sys.stdout.flush()  # a reader that left shows up here, not at exit
+        return code
     except BudgetExceededError as exc:
         return _fail("budget", exc, EXIT_RESOURCE)
     except MemoryError as exc:
@@ -62,6 +69,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FlatstirError, ValueError) as exc:
         return _fail("usage", exc, EXIT_USAGE)
     except BrokenPipeError:
+        # the reader has left: what is still buffered goes to the null device,
+        # so the interpreter's flush at exit cannot fail on the pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     finally:
         if digits:
@@ -176,15 +186,18 @@ def cmd_enumerate(args: argparse.Namespace, cfg: Config) -> int:
         if args.flattened:
             raise ValueError("--flattened applies to words; every good partition "
                              "already corresponds to a flattened word")
-        for p in enumeration.gen_gcp(args.n, args.k, budget=budget):
-            print(p.to_json() if args.format == "jsonl" else p.to_text())
+        stream = enumeration.gen_gcp(args.n, args.k, budget=budget)
+    elif args.flattened:
+        stream = enumeration.gen_flattened(args.n, args.k, budget=budget)
     else:
-        if args.flattened:
-            stream = enumeration.gen_flattened(args.n, args.k, budget=budget)
-        else:
-            stream = enumeration.gen_stirling(args.n, args.k, budget=budget)
-        for w in stream:
-            print(w.to_json() if args.format == "jsonl" else w.to_text())
+        stream = enumeration.gen_stirling(args.n, args.k, budget=budget)
+    # Output goes out in chunks of ENUMERATE_CHUNK_LINES lines, one write each:
+    # a print per line costs nearly as much as the walk, and a bounded chunk
+    # keeps memory flat however long the stream.
+    lines = map(methodcaller("to_json" if args.format == "jsonl" else "to_text"), stream)
+    while chunk := list(islice(lines, ENUMERATE_CHUNK_LINES)):
+        chunk.append("")  # the last line's newline
+        sys.stdout.write("\n".join(chunk))
     return EXIT_OK
 
 

@@ -6,11 +6,13 @@ import sys
 
 import pytest
 
+from flatstir import gen_flattened, gen_gcp
 from flatstir.cli import main
 from flatstir.verify import REFERENCE_RUNS_K2
 
 EXAMPLE_PARTITION = "1_1 2_3 4_2 6_3 | 3_1 | 5_1"
 EXAMPLE_WORD = "1 2 2 2 2 6 6 6 6 1 4 4 4 4 1 1 3 3 3 3 5 5 5 5"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -187,6 +189,43 @@ class TestEnumerate:
         assert code == 2
         assert out == ""
         assert err == "error: usage: --n must be >= 1, got 0\n"
+
+    # 4,088 lines at (7, 2): the output spans several chunks, the last one partial
+    def test_partition_jsonl_over_several_chunks(self, capsys):
+        code, out, _ = run(
+            capsys, "enumerate", "--n", "7", "--k", "2", "--as", "partitions", "--format", "jsonl"
+        )
+        stream = (json.dumps({"n": 7, "k": 2, "blocks": p.blocks}) for p in gen_gcp(7, 2))
+        assert code == 0
+        assert out == "".join(x + "\n" for x in stream)
+
+    def test_flattened_text_over_several_chunks(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "7", "--k", "2", "--flattened")
+        stream = (" ".join(map(str, w.letters)) for w in gen_flattened(7, 2))
+        assert code == 0
+        assert out == "".join(x + "\n" for x in stream)
+
+    def test_single_partition(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "1", "--k", "1", "--as", "partitions")
+        assert code == 0
+        assert out == "1_1\n"
+
+    # n=5 prints 3 KB, which stays in stdout's buffer until the exit flush;
+    # n=8 prints 900 KB, more than a pipe holds
+    @pytest.mark.parametrize("n,lines_read", [("5", 0), ("8", 1)])
+    def test_reader_that_leaves_is_not_an_error(self, n, lines_read):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = SRC
+        argv = [sys.executable, "-m", "flatstir.cli", "enumerate", "--n", n, "--k", "2",
+                "--as", "partitions"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as child:
+            for _ in range(lines_read):
+                assert child.stdout.readline().startswith(b"1_1 2_1 3_1")
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        assert (code, err) == (0, b"")
 
 
 class TestTable:
@@ -443,10 +482,9 @@ class TestErrors:
 def test_cli_import_does_not_load_mpmath():
     # a fresh interpreter: this one may have imported these for other reasons;
     # the HTTP stack is loaded only by a fetch
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, flatstir.cli; flatstir.cli.build_parser(); "
             "print([m for m in ('mpmath', 'urllib.request', 'http.client') if m in sys.modules])")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout == "[]\n"

@@ -150,6 +150,33 @@ class TestGcpGenerator:
         with pytest.raises(DomainError):
             next(gen_gcp(0, 1))
 
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(1, 4)])
+    def test_stream_order_is_growth_string_then_colors(self, n, k):
+        # the order `enumerate --as partitions` prints, from a key that knows
+        # nothing of the walk: strictly increasing, so no ties either
+        keys = [growth_string_then_colors(p) for p in gen_gcp(n, k)]
+        assert keys == sorted(set(keys))
+
+    def test_walk_is_lazy(self):
+        # the first block's colorings alone are 199^2 tuples, about 3 MB
+        tracemalloc.start()
+        try:
+            first = next(gen_gcp(3, 200))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.blocks == (((1, 1), (2, 1), (3, 1)),)
+        assert peak < 64 * 1024
+
+
+def growth_string_then_colors(p):
+    """The restricted growth string of p's set partition (element i's block
+    index), then the colors of the non-minimum elements, block by block."""
+    growth = [0] * p.n
+    for index, block in enumerate(p.blocks):
+        for e, _ in block:
+            growth[e - 1] = index
+    return tuple(growth), tuple(c for block in p.blocks for _, c in block[1:])
 
 
 class TestTrustedConstruction:

@@ -10,6 +10,7 @@ from flatstir import (
     gen_gcp,
     good_partition,
     parse_partition,
+    partitions,
     phi,
     validate,
     word_stats,
@@ -129,12 +130,19 @@ class TestSerialization:
         payload = json.loads(p.to_json())
         assert payload["blocks"][0] == [[1, 1], [2, 3], [4, 2]]
 
-    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)])
+    # GCP_8(5) has 4,916 distinct blocks, more than the block memo holds
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)] + [(5, 8)])
     def test_json_is_the_nested_list_form(self, n, k):
+        distinct = set()
         for p in gen_gcp(n, k):
             nested = [[[e, c] for e, c in b] for b in p.blocks]
             assert p.to_json() == json.dumps({"n": n, "k": k, "blocks": nested})
+            assert p.to_text() == " | ".join(" ".join(f"{e}_{c}" for e, c in b) for b in p.blocks)
             assert partition_from_json(p.to_json()) == p
+            distinct.update(p.blocks)
+        if (n, k) == (5, 8):
+            assert len(distinct) > partitions.BLOCK_MEMO_SIZE
+            assert partitions._block_json.cache_info().currsize == partitions.BLOCK_MEMO_SIZE
 
     def test_parse_rejects_bad_token(self):
         with pytest.raises(MalformedPartitionError):
