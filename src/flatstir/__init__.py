@@ -54,7 +54,6 @@ from .partitions import (
     block_descent_count,
     good_partition,
     parse_partition,
-    validate,
 )
 from .series import (
     EgfSeries,
@@ -69,7 +68,6 @@ from .words import (
     is_flattened,
     is_valid_stirling,
     parse_word,
-    sorted_word,
     word_stats,
 )
 
@@ -130,8 +128,6 @@ __all__ = [
     "phi_inverse",
     "predicted_stirling_count",
     "run_distribution_bruteforce",
-    "sorted_word",
     "stirling2",
-    "validate",
     "word_stats",
 ]

@@ -7,12 +7,16 @@ increasing element order, at the right end of the gap named by its color.
 Concatenating the subwords over the blocks (in standard block order)
 yields a flattened k-Stirling word.
 
-Inverse direction: repeatedly cut the maximal suffix whose letters all
-weakly exceed the final letter a (the cut falls just after the rightmost
-letter strictly smaller than a).  That suffix is the subword of one block:
-its minimum is a (colored 1) and every other letter x is colored by the
-gap its copies occupy, counting copies of a from the right; letters left
-of the leftmost copy of a get color k.
+Inverse direction: one right-to-left scan, with color = copies of the
+block minimum to its right.  In phi, a block's subword ends with its
+minimum, and an element in gap i has exactly i copies of that minimum to
+its right.  So the scan keeps the current block minimum alpha and the
+count of its copies seen so far: a letter equal to alpha is one more
+copy, a larger letter takes that count as its color, and a smaller letter
+is the minimum of the next block to the left.  In a Stirling word a copy
+of alpha never lies between two copies of a larger letter, so every copy
+of that letter gets the same count.  A flattened word starts with 1, so
+the first block never gets color k.
 
 The right-to-left gap numbering is load-bearing; it is pinned by the
 worked-example regression test.
@@ -21,7 +25,7 @@ worked-example regression test.
 from __future__ import annotations
 
 from .errors import MalformedWordError, NotFlattenedError
-from .partitions import Block, ColoredPartition, good_partition, require_good
+from .partitions import ColoredPartition, good_partition, require_good
 from .words import StirlingWord, is_flattened
 
 
@@ -56,50 +60,15 @@ def phi_inverse(w: StirlingWord) -> ColoredPartition:
         raise NotFlattenedError("run leaders are not weakly increasing; word is not flattened")
     if w.is_empty:
         raise MalformedWordError("the empty word has no partition image")
-    k = w.multiplicity
-    rest = list(w.letters)
-    blocks: list[Block] = []
-    while rest:
-        alpha = rest[-1]
-        cut = 0
-        for i in range(len(rest) - 1, -1, -1):
-            if rest[i] < alpha:
-                cut = i + 1
-                break
-        subword = rest[cut:]
-        del rest[cut:]
-        blocks.append(_color_block(subword, alpha, k))
-    blocks.reverse()  # suffix stripping emits largest-minimum first
-    return good_partition(w.order, k, blocks)
-
-
-def _color_block(subword: list[int], alpha: int, k: int) -> Block:
-    """Recover one block from its subword; alpha is the block minimum."""
-    alpha_pos = [i for i, v in enumerate(subword) if v == alpha]
-    if len(alpha_pos) != k:
-        raise MalformedWordError(
-            f"suffix holds {len(alpha_pos)} copies of its minimum {alpha}, expected {k}"
-        )
-    # alpha copies numbered from the right: copy i sits at right_to_left[i-1]
-    right_to_left = alpha_pos[::-1]
-    positions: dict[int, list[int]] = {}
-    for i, v in enumerate(subword):
-        if v != alpha:
-            positions.setdefault(v, []).append(i)
-    block: list[tuple[int, int]] = [(alpha, 1)]
-    for x, pos in positions.items():
-        lo, hi = pos[0], pos[-1]
-        color = 0
-        for i in range(1, k):  # gap i lies between copy i+1 and copy i
-            if right_to_left[i] < lo and hi < right_to_left[i - 1]:
-                color = i
-                break
+    blocks: list[dict[int, int]] = []  # element -> color, right to left
+    alpha, seen = w.order + 1, 0
+    for v in reversed(w.letters):
+        if v == alpha:
+            seen += 1
+        elif v > alpha:
+            blocks[-1][v] = seen
         else:
-            if hi < right_to_left[k - 1]:  # left of the leftmost copy
-                color = k
-        if color == 0:
-            raise MalformedWordError(
-                f"copies of {x} straddle a copy of the block minimum {alpha}"
-            )
-        block.append((x, color))
-    return tuple(sorted(block))
+            alpha, seen = v, 1
+            blocks.append({v: 1})
+    # good_partition puts the blocks and their elements in standard order
+    return good_partition(w.order, w.multiplicity, (b.items() for b in blocks))

@@ -12,7 +12,8 @@ order m-1 by inserting the block m^k into one of its (m-1)k + 1 gaps.  The
 walk is a chain of n lazy generators, one per order, each inserting its
 block into every word the previous one yields, gap by gap from the left.
 It is depth-first and holds one word per order, never a whole level.  The
-chain yields plain letter tuples.
+chain yields plain letter tuples.  The set partitions under GCP_k(n) come
+from the same kind of chain, one generator per element.
 
 Words and partitions built here are correct by construction, so they are
 trusted: neither is re-validated.  The filter route tests only the
@@ -39,6 +40,8 @@ from .counting import DEFAULT_BUDGET, _check_nk
 from .errors import BudgetExceededError
 from .partitions import ColoredPartition, _trusted_partition
 from .words import StirlingWord, _leaders_weakly_increase, _trusted_word
+
+SetPartition = tuple[tuple[int, ...], ...]  # blocks ascending by minimum
 
 
 def predicted_stirling_count(n: int, k: int) -> int:
@@ -129,16 +132,17 @@ def gen_gcp(
 ) -> Iterator[ColoredPartition]:
     """Yield every good k-colored partition of [n] exactly once.
 
-    Set partitions are enumerated by restricted growth strings, then each
-    is colored: minima are fixed to color 1, non-minimum elements of the
-    first block range over 1..k-1 and of other blocks over 1..k, in
-    odometer order.  For k=1 the first-block color range is empty, which
-    silently restricts to partitions whose first block is {1}.
+    Set partitions come from the insertion chain `_set_partitions`, in
+    restricted-growth-string order, then each is colored: minima are fixed
+    to color 1, non-minimum elements of the first block range over 1..k-1
+    and of other blocks over 1..k, in odometer order.  For k=1 the
+    first-block color range is empty, which silently restricts to
+    partitions whose first block is {1}.
     """
     _check_nk(n, k)
     predicted = counting.count_flattened_recurrence(n, k)
     _check_budget(predicted, budget, f"GCP_{k}({n})")
-    for blocks in _gen_set_partitions(n):
+    for blocks in _set_partitions(n):
         slots: list[range] = []
         for bi, block in enumerate(blocks):
             color_range = range(1, k) if bi == 0 else range(1, k + 1)
@@ -156,25 +160,22 @@ def gen_gcp(
             yield _trusted_partition(n, k, tuple(colored))
 
 
-def _gen_set_partitions(n: int) -> Iterator[list[list[int]]]:
+def _set_partitions(n: int) -> Iterator[SetPartition]:
     """Set partitions of [1..n] in restricted-growth-string order.
 
-    Elements are assigned ascending, so blocks appear ordered by their
-    minima (standard block order) without any sorting.  The yielded
-    structure is reused between yields; consumers must not retain it.
+    One insertion generator per element, chained as `_stirling_letters`
+    chains orders.  Elements are placed ascending, so blocks appear ordered
+    by their minima (standard block order) without any sorting.
     """
-    blocks: list[list[int]] = []
+    partitions: Iterator[SetPartition] = iter([()])
+    for e in range(1, n + 1):
+        partitions = _insert_element(partitions, e)
+    return partitions
 
-    def rec(e: int) -> Iterator[list[list[int]]]:
-        if e > n:
-            yield blocks
-            return
-        for b in blocks:
-            b.append(e)
-            yield from rec(e + 1)
-            b.pop()
-        blocks.append([e])
-        yield from rec(e + 1)
-        blocks.pop()
 
-    yield from rec(1)
+def _insert_element(partitions: Iterator[SetPartition], e: int) -> Iterator[SetPartition]:
+    """Put e into each block in turn, then into a new block last."""
+    for blocks in partitions:
+        for i in range(len(blocks)):
+            yield blocks[:i] + (blocks[i] + (e,),) + blocks[i + 1:]
+        yield blocks + ((e,),)

@@ -11,10 +11,10 @@ For k=1 the second rule leaves no legal color for non-minimum elements of
 the first block, so the first block must be exactly {1}.
 
 Constructors normalize arbitrary block orderings into standard notation.
-Coloring rules are a
-separate predicate (`validate`) so that rule-breaking partitions remain
-representable for negative tests; `good_partition` builds and checks in
-one step, naming the first failed rule on error.  The generator in
+Coloring rules are a separate predicate (`first_failed_rule`) so that
+rule-breaking partitions remain representable for negative tests;
+`good_partition` builds and checks in one step, naming the first failed
+rule on error.  The generator in
 `enumeration` builds its partitions in standard notation already and goes
 through `_trusted_partition`, so generated partitions are not re-validated.
 
@@ -106,11 +106,6 @@ def _check_structure(n: int, k: int, blocks: tuple[Block, ...]) -> None:
                 raise MalformedPartitionError(f"color {c} of element {e} outside 1..{k}")
     if sorted(seen) != list(range(1, n + 1)):
         raise MalformedPartitionError(f"blocks do not partition [1..{n}]")
-
-
-def validate(p: ColoredPartition) -> bool:
-    """True iff p satisfies both coloring rules (and the k=1 convention)."""
-    return first_failed_rule(p) is None
 
 
 def first_failed_rule(p: ColoredPartition) -> str | None:

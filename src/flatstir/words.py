@@ -55,9 +55,11 @@ class StirlingWord:
         return " ".join(str(v) for v in self.letters)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"letters": list(self.letters), "order": self.order, "multiplicity": self.multiplicity}
-        )
+        """The bytes of `json.dumps({"letters": letters, "order": n, "multiplicity": k})`."""
+        letters = ", ".join(map(str, self.letters))
+        n, k = self.order, self.multiplicity
+        return f'{{"letters": [{letters}], "order": {n}, "multiplicity": {k}}}'
+
 
 
 def _trusted_word(letters: tuple[int, ...], order: int, multiplicity: int) -> StirlingWord:
@@ -166,9 +168,3 @@ def word_stats(w: StirlingWord) -> WordStats:
             ascents += 1
         prev = v
     return WordStats(descents, descents + 1, plateaus, ascents)
-
-
-def sorted_word(n: int, k: int) -> StirlingWord:
-    """The single one-run word 1^k 2^k ... n^k."""
-    letters = tuple(v for v in range(1, n + 1) for _ in range(k))
-    return StirlingWord(letters, n, k)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from flatstir import (
@@ -16,7 +18,6 @@ from flatstir import (
     parse_word,
     phi,
     phi_inverse,
-    sorted_word,
     word_stats,
 )
 
@@ -39,8 +40,9 @@ class TestSmallCases:
     def test_singletons_map_to_sorted_word(self, k):
         n = 5
         p = good_partition(n, k, [[(e, 1)] for e in range(1, n + 1)])
-        assert phi(p) == sorted_word(n, k)
-        assert phi_inverse(sorted_word(n, k)) == p
+        one_run = StirlingWord(tuple(v for v in range(1, n + 1) for _ in range(k)), n, k)
+        assert phi(p) == one_run
+        assert phi_inverse(one_run) == p
 
     def test_two_in_one_block(self):
         p = good_partition(2, 2, [[(1, 1), (2, 1)]])
@@ -65,10 +67,21 @@ class TestRoundTrip:
             assert is_flattened(w)
             assert phi_inverse(w) == p
 
-    @pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (4, 3)])
+    @pytest.mark.parametrize(
+        "n,k",
+        [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (7, 1), (6, 2), (5, 3), (4, 4)],
+    )
     def test_word_side(self, n, k):
         for w in gen_flattened(n, k):
             assert phi(phi_inverse(w)) == w
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [30, 60, 100])
+    def test_random_large_partitions(self, n, k):
+        rng = random.Random(1000 * n + k)
+        for _ in range(20):
+            p = random_good_partition(rng, n, k)
+            assert phi_inverse(phi(p)) == p
 
     @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3)])
     def test_image_is_exactly_the_flattened_subset(self, n, k):
@@ -79,6 +92,20 @@ class TestRoundTrip:
     def test_descent_transport(self, n, k):
         for p in gen_gcp(n, k):
             assert word_stats(phi(p)).descents == block_descent_count(p)
+
+
+def random_good_partition(rng, n, k):
+    """A good partition drawn element by element: each element joins a
+    random existing block or opens a new one, then takes a legal color."""
+    blocks = [[(1, 1)]]
+    for e in range(2, n + 1):
+        # at k = 1 the first block must stay {1}, so it is closed
+        i = rng.randrange(0 if k > 1 else 1, len(blocks) + 1)
+        if i == len(blocks):
+            blocks.append([(e, 1)])
+        else:
+            blocks[i].append((e, rng.randint(1, k - 1 if i == 0 else k)))
+    return good_partition(n, k, blocks)
 
 
 class TestDomainErrors:

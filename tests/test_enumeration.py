@@ -7,6 +7,7 @@ from flatstir import (
     ColoredPartition,
     DomainError,
     StirlingWord,
+    bell_number,
     count_flattened_recurrence,
     descent_polynomial_bruteforce,
     gen_flattened,
@@ -17,8 +18,9 @@ from flatstir import (
     phi,
     predicted_stirling_count,
     run_distribution_bruteforce,
-    validate,
 )
+from flatstir.enumeration import _set_partitions
+from flatstir.partitions import first_failed_rule
 
 STIRLING_COUNTS_K2 = [1, 3, 15, 105, 945]  # n = 1..5
 SMALL = [(n, k) for n in range(1, 6) for k in range(1, 4)]
@@ -137,7 +139,7 @@ class TestGcpGenerator:
     def test_counts_match_recurrence_and_all_validate(self, n, k, ctx):
         seen = set()
         for p in gen_gcp(n, k):
-            assert validate(p)
+            assert first_failed_rule(p) is None
             assert p not in seen
             seen.add(p)
         assert len(seen) == count_flattened_recurrence(n, k, ctx)
@@ -168,6 +170,13 @@ class TestGcpGenerator:
         assert first.blocks == (((1, 1), (2, 1), (3, 1)),)
         assert peak < 64 * 1024
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_set_partitions_are_distinct_and_kept(self, n):
+        # held all at once: a walk that reuses its blocks would collapse them
+        kept = list(_set_partitions(n))
+        assert len(set(kept)) == len(kept) == bell_number(n)
+        assert all(sorted(e for b in blocks for e in b) == list(range(1, n + 1)) for blocks in kept)
+
 
 def growth_string_then_colors(p):
     """The restricted growth string of p's set partition (element i's block
@@ -193,7 +202,7 @@ class TestTrustedConstruction:
         for p in gen_gcp(n, k):
             q = ColoredPartition(n, k, p.blocks)
             assert p == q
-            assert validate(p)
+            assert first_failed_rule(p) is None
 
     @pytest.mark.parametrize("n,k", SMALL + [(7, 2), (6, 3), (5, 4)])
     def test_filter_route_is_the_checked_filter(self, n, k):

@@ -12,7 +12,6 @@ from flatstir import (
     parse_partition,
     partitions,
     phi,
-    validate,
     word_stats,
 )
 from flatstir.partitions import first_failed_rule, partition_from_json
@@ -22,29 +21,29 @@ GOOD_K4 = "1_1 2_3 4_2 | 3_1 | 5_1"
 
 class TestValidate:
     def test_published_example_good_at_k4(self):
-        assert validate(parse_partition(GOOD_K4, 4))
+        assert first_failed_rule(parse_partition(GOOD_K4, 4)) is None
 
     def test_published_example_bad_at_k3(self):
         p = parse_partition(GOOD_K4, 3)
-        assert not validate(p)
+        assert first_failed_rule(p) is not None
         assert "Rule 2" in first_failed_rule(p)
 
     def test_singleton(self):
-        assert validate(ColoredPartition(1, 1, (((1, 1),),)))
+        assert first_failed_rule(ColoredPartition(1, 1, (((1, 1),),))) is None
 
     def test_rule1_violation(self):
         p = ColoredPartition(2, 2, (((1, 1),), ((2, 2),)))
-        assert not validate(p)
+        assert first_failed_rule(p) is not None
         assert "Rule 1" in first_failed_rule(p)
 
     def test_k1_first_block_must_be_singleton(self):
         p = ColoredPartition(2, 1, (((1, 1), (2, 1)),))
-        assert not validate(p)
+        assert first_failed_rule(p) is not None
         assert "first block" in first_failed_rule(p)
 
     def test_k1_all_singletons_good(self):
         p = ColoredPartition(3, 1, (((1, 1),), ((2, 1), (3, 1))))
-        assert validate(p)
+        assert first_failed_rule(p) is None
 
 
 class TestGoodPartitionConstructor:

@@ -7,10 +7,10 @@ from flatstir import (
     MalformedWordError,
     NotStirlingError,
     StirlingWord,
+    gen_stirling,
     is_flattened,
     is_valid_stirling,
     parse_word,
-    sorted_word,
     word_stats,
 )
 from flatstir.words import word_from_json
@@ -95,7 +95,7 @@ class TestWordStats:
 
     @pytest.mark.parametrize("n,k", [(1, 1), (3, 2), (5, 3)])
     def test_sorted_word(self, n, k):
-        s = word_stats(sorted_word(n, k))
+        s = word_stats(StirlingWord(tuple(v for v in range(1, n + 1) for _ in range(k)), n, k))
         assert s.descents == 0
         assert s.runs == 1
 
@@ -153,7 +153,7 @@ class TestSerialization:
         assert parse_word(w.to_text(), 4) == w
 
     def test_text_format_is_space_separated(self):
-        assert sorted_word(2, 2).to_text() == "1 1 2 2"
+        assert StirlingWord((1, 1, 2, 2), 2, 2).to_text() == "1 1 2 2"
 
     def test_json_round_trip(self):
         w = example_word()
@@ -161,6 +161,13 @@ class TestSerialization:
         payload = json.loads(w.to_json())
         assert payload["order"] == 6
         assert payload["multiplicity"] == 4
+
+    def test_json_is_json_dumps(self):
+        words = list(gen_stirling(4, 3))
+        words.append(StirlingWord(tuple(range(12, 0, -1)), 12, 1))
+        for w in words:
+            payload = {"letters": list(w.letters), "order": w.order, "multiplicity": w.multiplicity}
+            assert w.to_json() == json.dumps(payload)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(MalformedWordError):
