@@ -41,6 +41,9 @@ def _phi_letters(p: ColoredPartition) -> tuple[int, ...]:
     out: list[int] = []
     for block in p.blocks:
         minimum = block[0][0]
+        if len(block) == 1:
+            out.extend([minimum] * k)
+            continue
         gaps: list[list[int]] = [[] for _ in range(k + 1)]  # index 1..k
         for x, color in block[1:]:
             gaps[color].extend([x] * k)

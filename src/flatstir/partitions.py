@@ -128,7 +128,7 @@ def good_partition(
     n: int, k: int, blocks: Iterable[Iterable[Sequence[int]]]
 ) -> ColoredPartition:
     """Normalize, then enforce the good-coloring rules; raises naming the rule."""
-    p = ColoredPartition(n, k, tuple(tuple(tuple(pair) for pair in b) for b in blocks))
+    p = ColoredPartition(n, k, blocks)  # __post_init__ builds the tuples
     require_good(p)
     return p
 
@@ -167,6 +167,11 @@ def parse_partition(text: str, k: int) -> ColoredPartition:
 
 
 def partition_from_json(text: str) -> ColoredPartition:
+    """Parse `to_json`'s format; every number must be a JSON integer."""
     obj = json.loads(text)
-    blocks = tuple(tuple((int(e), int(c)) for e, c in b) for b in obj["blocks"])
-    return ColoredPartition(int(obj["n"]), int(obj["k"]), blocks)
+    blocks = tuple(tuple((e, c) for e, c in b) for b in obj["blocks"])
+    n, k = obj["n"], obj["k"]
+    for v in (n, k, *(x for b in blocks for pair in b for x in pair)):
+        if type(v) is not int:  # a JSON float or a bool would pass int()
+            raise MalformedPartitionError(f"expected a JSON integer, got {json.dumps(v)}")
+    return ColoredPartition(n, k, blocks)

@@ -169,10 +169,12 @@ def _check_round_trip(state: _State) -> str:
     for k in range(1, min(state.limits.max_k, 4) + 1):
         for n in range(1, min(state.limits.max_n, 6) + 1):
             for p in enumeration.gen_gcp(n, k, budget=budget):
+                # per-object checks build their message only on failure
                 w = bijection.phi(p)
-                _expect(words.is_flattened(w), f"phi image not flattened: {w.letters}")
-                back = bijection.phi_inverse(w)
-                _expect(back == p, f"round trip failed for {p.to_text()} (k={k})")
+                if not words.is_flattened(w):
+                    raise AssertionError(f"phi image not flattened: {w.letters}")
+                if bijection.phi_inverse(w) != p:
+                    raise AssertionError(f"round trip failed for {p.to_text()} (k={k})")
                 checked += 1
     for k, n_top in ((2, 6), (3, 5)):
         for n in range(1, min(state.limits.max_n, n_top) + 1):
@@ -334,22 +336,21 @@ def _check_properties(state: _State) -> str:
             bound = counting.max_runs_bound(n, k)
             seen_runs = 0
             for w in enumeration.gen_stirling(n, k, budget=budget):
+                # per-object checks build their message only on failure
                 s = words.word_stats(w)
-                _expect(s.runs == s.descents + 1, "runs != descents + 1")
-                _expect(
-                    s.descents + s.plateaus + s.ascents == n * k - 1,
-                    "descents + plateaus + ascents != nk - 1",
-                )
+                if s.runs != s.descents + 1:
+                    raise AssertionError("runs != descents + 1")
+                if s.descents + s.plateaus + s.ascents != n * k - 1:
+                    raise AssertionError("descents + plateaus + ascents != nk - 1")
                 total_words += 1
                 if words.is_flattened(w):
-                    _expect(s.runs <= bound, f"run bound violated at n={n}, k={k}")
+                    if s.runs > bound:
+                        raise AssertionError(f"run bound violated at n={n}, k={k}")
                     seen_runs = max(seen_runs, s.runs)
             _expect(seen_runs == bound, f"run bound not attained at n={n}, k={k}")
             for p in enumeration.gen_gcp(n, k, budget=budget):
-                _expect(
-                    block_descent_count(p) == words.word_stats(bijection.phi(p)).descents,
-                    f"descent transport failed for {p.to_text()}",
-                )
+                if block_descent_count(p) != words.word_stats(bijection.phi(p)).descents:
+                    raise AssertionError(f"descent transport failed for {p.to_text()}")
     return f"statistic identities hold on {total_words} enumerated words"
 
 

@@ -13,13 +13,20 @@ constructible for negative tests.  Every public way in (the constructor,
 build words that are correct by construction through `_trusted_word` and
 test them with `_leaders_weakly_increase`, so generated words are trusted
 and not re-validated.
+
+The per-word operations are written for the brute-force walks, which call
+them tens of thousands of times: the multiset check is one comparison
+against the sorted letters, `_trusted_word` sets the slots through their
+member descriptors, `WordStats` is a named tuple, and `is_valid_stirling`
+keeps its per-value copy counts in one flat list indexed by letter, so it
+allocates nothing per value.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedWordError, NotStirlingError
 
@@ -40,8 +47,14 @@ class StirlingWord:
             raise MalformedWordError(
                 f"expected {n * k} letters for order {n}, multiplicity {k}; got {len(self.letters)}"
             )
-        counts = Counter(self.letters)
-        if len(counts) != n or any(counts.get(v) != k for v in range(1, n + 1)):
+        # sorted, the multiset is 1^k 2^k ... n^k: the first and the last
+        # copy of every value sit at fixed places
+        try:
+            s = sorted(self.letters)
+        except TypeError:  # letters of types that do not compare
+            s = None
+        r = list(range(1, n + 1))
+        if s is None or s[::k] != r or s[k - 1::k] != r:
             raise MalformedWordError(
                 f"letters are not the multiset {{1^{k}, ..., {n}^{k}}}"
             )
@@ -61,18 +74,22 @@ class StirlingWord:
         return f'{{"letters": [{letters}], "order": {n}, "multiplicity": {k}}}'
 
 
+# the slots' member descriptors, bound once for `_trusted_word`
+_set_letters = StirlingWord.letters.__set__
+_set_order = StirlingWord.order.__set__
+_set_multiplicity = StirlingWord.multiplicity.__set__
+
 
 def _trusted_word(letters: tuple[int, ...], order: int, multiplicity: int) -> StirlingWord:
     """A word whose multiset shape the caller guarantees; skips validation."""
     w = object.__new__(StirlingWord)
-    object.__setattr__(w, "letters", letters)
-    object.__setattr__(w, "order", order)
-    object.__setattr__(w, "multiplicity", multiplicity)
+    _set_letters(w, letters)
+    _set_order(w, order)
+    _set_multiplicity(w, multiplicity)
     return w
 
 
-@dataclass(frozen=True, slots=True)
-class WordStats:
+class WordStats(NamedTuple):
     """Counts from one scan of a word; runs == descents + 1 unless empty."""
 
     descents: int
@@ -91,8 +108,14 @@ def parse_word(text: str, multiplicity: int) -> StirlingWord:
 
 
 def word_from_json(text: str) -> StirlingWord:
+    """Parse `to_json`'s format; every number must be a JSON integer."""
     obj = json.loads(text)
-    return StirlingWord(tuple(obj["letters"]), int(obj["order"]), int(obj["multiplicity"]))
+    letters = tuple(obj["letters"])
+    order, multiplicity = obj["order"], obj["multiplicity"]
+    for v in (*letters, order, multiplicity):
+        if type(v) is not int:  # a JSON float or a bool compares equal to an int
+            raise MalformedWordError(f"expected a JSON integer, got {json.dumps(v)}")
+    return StirlingWord(letters, order, multiplicity)
 
 
 def is_valid_stirling(w: StirlingWord) -> bool:
@@ -101,22 +124,32 @@ def is_valid_stirling(w: StirlingWord) -> bool:
     Single left-to-right scan.  The stack holds values whose copies are
     still open (some but not all k copies seen); it is strictly increasing
     bottom to top, so a new letter below the top lies between two copies
-    of the top value and violates the condition.
+    of the top value and violates the condition.  The top is kept in a
+    scalar, a 0 at the bottom of the stack stands below every letter, and
+    the copies seen of each open value are counted in the flat list
+    `seen`, indexed by letter.
     """
     k = w.multiplicity
     if k == 1:
         return True
-    stack: list[list[int]] = []
+    seen = [0] * (w.order + 1)
+    stack = [0]
+    top = 0
     for v in w.letters:
-        if stack and stack[-1][0] == v:
-            stack[-1][1] += 1
-            if stack[-1][1] == k:
+        if v == top:
+            copies = seen[v] + 1
+            if copies == k:
                 stack.pop()
-        elif not stack or v > stack[-1][0]:
-            stack.append([v, 1])
+                top = stack[-1]
+            else:
+                seen[v] = copies
+        elif v > top:
+            stack.append(v)
+            top = v
+            seen[v] = 1
         else:
             return False
-    return not stack
+    return top == 0
 
 
 def is_flattened(w: StirlingWord) -> bool:

@@ -141,6 +141,28 @@ class TestBijection:
         code, _, err = run(capsys, "bijection", "--direction", "forward", "--k", "2")
         assert code == 2
 
+    def test_json_float_in_partition_is_usage_error(self, capsys, monkeypatch):
+        # int() would read the pair (2.9, 1.7) as (2, 1) and print a word
+        payload = '{"n": 2, "k": 2, "blocks": [[[1, 1], [2.9, 1.7]]]}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, out, err = run(
+            capsys, "bijection", "--direction", "forward", "--k", "2", "--format", "json"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: expected a JSON integer, got 2.9\n"
+
+    def test_json_bool_in_word_is_usage_error(self, capsys, monkeypatch):
+        # true == 1, so the letters [true, true] pass the multiset check
+        payload = '{"letters": [true, true], "order": 1, "multiplicity": 2}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, out, err = run(
+            capsys, "bijection", "--direction", "inverse", "--k", "2", "--format", "json"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: expected a JSON integer, got true\n"
+
 
 class TestEnumerate:
     def test_words(self, capsys):

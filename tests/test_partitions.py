@@ -143,6 +143,19 @@ class TestSerialization:
             assert len(distinct) > partitions.BLOCK_MEMO_SIZE
             assert partitions._block_json.cache_info().currsize == partitions.BLOCK_MEMO_SIZE
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"n": 2, "k": 2, "blocks": [[[1, 1], [2.9, 1.7]]]}',
+            '{"n": 2, "k": 2, "blocks": [[[1, true], [2, 1]]]}',
+            '{"n": 2.0, "k": 2, "blocks": [[[1, 1], [2, 1]]]}',
+            '{"n": 2, "k": true, "blocks": [[[1, 1]], [[2, 1]]]}',
+        ],
+    )
+    def test_json_accepts_only_integers(self, payload):
+        with pytest.raises(MalformedPartitionError, match="expected a JSON integer"):
+            partition_from_json(payload)
+
     def test_parse_rejects_bad_token(self):
         with pytest.raises(MalformedPartitionError):
             parse_partition("1_1 2", 2)

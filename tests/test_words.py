@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -46,6 +47,18 @@ class TestConstruction:
     def test_zero_multiplicity(self):
         with pytest.raises(MalformedWordError):
             StirlingWord((), 0, 0)
+
+    @pytest.mark.parametrize(
+        "letters,n,k",
+        [
+            (("a", 1), 1, 2),  # letters that do not compare with each other
+            ((1, 2, 2, 2), 2, 2),  # right length, one copy of 1 short
+            ((0, 0), 1, 2),  # a letter below 1
+        ],
+    )
+    def test_not_the_multiset(self, letters, n, k):
+        with pytest.raises(MalformedWordError, match="letters are not the multiset"):
+            StirlingWord(letters, n, k)
 
 
 class TestStirlingPredicate:
@@ -107,24 +120,53 @@ class TestWordStats:
         s = word_stats(StirlingWord((), 0, 2))
         assert (s.descents, s.runs, s.plateaus, s.ascents) == (0, 0, 0, 0)
 
+    def test_fields_repr_and_immutability(self):
+        s = word_stats(example_word())
+        assert repr(s) == "WordStats(descents=2, runs=3, plateaus=16, ascents=5)"
+        with pytest.raises(AttributeError):
+            s.runs = 0
 
-@pytest.mark.parametrize("n,k", [(3, 2), (2, 3), (4, 1), (2, 4)])
+
+def naive_is_stirling(letters, n):
+    """The Stirling condition applied literally, pair of copies by pair."""
+    for v in range(1, n + 1):
+        pos = [i for i, x in enumerate(letters) if x == v]
+        for a, b in zip(pos, pos[1:]):
+            if any(letters[i] < v for i in range(a + 1, b)):
+                return False
+    return True
+
+
+def arrangements(n, k):
+    """Every distinct ordering of the multiset {1^k, ..., n^k}, once each."""
+    left = [k] * (n + 1)
+    word = []
+
+    def extend():
+        if len(word) == n * k:
+            yield tuple(word)
+            return
+        for v in range(1, n + 1):
+            if left[v]:
+                left[v] -= 1
+                word.append(v)
+                yield from extend()
+                word.pop()
+                left[v] += 1
+
+    return extend()
+
+
+@pytest.mark.parametrize(
+    "n,k", [(3, 2), (2, 3), (4, 1), (2, 4), (3, 3), (4, 2), (2, 5)]
+)
 def test_stirling_check_against_naive_oracle(n, k):
     """Compare the one-scan check with the definition applied literally."""
-    from itertools import permutations
-
-    def naive(letters):
-        for v in range(1, n + 1):
-            pos = [i for i, x in enumerate(letters) if x == v]
-            for a, b in zip(pos, pos[1:]):
-                if any(letters[i] < v for i in range(a + 1, b)):
-                    return False
-        return True
-
-    multiset = [v for v in range(1, n + 1) for _ in range(k)]
-    for perm in set(permutations(multiset)):
+    perms = list(arrangements(n, k))
+    assert len(perms) == math.factorial(n * k) // math.factorial(k) ** n
+    for perm in perms:
         w = StirlingWord(perm, n, k)
-        assert is_valid_stirling(w) == naive(perm), perm
+        assert is_valid_stirling(w) == naive_is_stirling(perm, n), perm
 
 
 @st.composite
@@ -145,6 +187,14 @@ def test_stats_invariants_on_random_words(w):
     assert s.runs == s.descents + 1
     assert s.descents + s.plateaus + s.ascents == w.order * w.multiplicity - 1
     assert is_valid_stirling(w)
+
+
+@given(st.data())
+def test_shuffled_words_match_the_definition(data):
+    w = data.draw(random_stirling_words())
+    letters = tuple(data.draw(st.permutations(w.letters)))
+    shuffled = StirlingWord(letters, w.order, w.multiplicity)
+    assert is_valid_stirling(shuffled) == naive_is_stirling(letters, w.order)
 
 
 class TestSerialization:
@@ -172,3 +222,16 @@ class TestSerialization:
     def test_parse_rejects_garbage(self):
         with pytest.raises(MalformedWordError):
             parse_word("1 two 2 1", 2)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"letters": [true, true], "order": 1, "multiplicity": 2}',
+            '{"letters": [1.0, 1.0], "order": 1, "multiplicity": 2}',
+            '{"letters": [1, 1], "order": 1.0, "multiplicity": 2}',
+            '{"letters": [1, 1], "order": 1, "multiplicity": true}',
+        ],
+    )
+    def test_json_accepts_only_integers(self, payload):
+        with pytest.raises(MalformedWordError, match="expected a JSON integer"):
+            word_from_json(payload)
