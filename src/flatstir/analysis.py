@@ -12,8 +12,8 @@ never a numeric root finder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .counting import DEFAULT_BUDGET, CountContext, run_distribution_bruteforce
 from .errors import DomainError
@@ -64,8 +64,7 @@ def is_real_rooted(p: IntPolynomial) -> bool:
     return _sign_variations(at_minus) - _sign_variations(at_plus) == distinct
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
+class ConjectureRow(NamedTuple):
     """One polynomial's verdicts for the evidence report."""
 
     n: int

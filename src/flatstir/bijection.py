@@ -25,14 +25,14 @@ worked-example regression test.
 from __future__ import annotations
 
 from .errors import MalformedWordError, NotFlattenedError
-from .partitions import ColoredPartition, good_partition, require_good
-from .words import StirlingWord, is_flattened
+from .partitions import ColoredPartition, _trusted_partition, require_good
+from .words import StirlingWord, _trusted_word, is_flattened
 
 
 def phi(p: ColoredPartition) -> StirlingWord:
     """Map a good k-colored partition of [n] to a flattened word in Q_n^k."""
     require_good(p)
-    return StirlingWord(_phi_letters(p), p.n, p.k)
+    return _trusted_word(_phi_letters(p), p.n, p.k)  # the multiset holds by construction
 
 
 def _phi_letters(p: ColoredPartition) -> tuple[int, ...]:
@@ -73,5 +73,7 @@ def phi_inverse(w: StirlingWord) -> ColoredPartition:
         else:
             alpha, seen = v, 1
             blocks.append({v: 1})
-    # good_partition puts the blocks and their elements in standard order
-    return good_partition(w.order, w.multiplicity, (b.items() for b in blocks))
+    # the scan met the blocks by decreasing minimum and their elements in
+    # no order; good by construction, since w is flattened
+    standard = tuple(tuple(sorted(b.items())) for b in reversed(blocks))
+    return _trusted_partition(w.order, w.multiplicity, standard)

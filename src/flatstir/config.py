@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 from .counting import DEFAULT_BUDGET
 from .errors import FlatstirError
@@ -25,16 +24,12 @@ class ConfigError(FlatstirError, ValueError):
     pass
 
 
-@dataclass
 class Config:
-    budget: int = DEFAULT_BUDGET
-    truncation_order: int = 32
-    oeis_timeout: float = DEFAULT_TIMEOUT
-    cache_dir: str = ""
-
-    def __post_init__(self):
-        if not self.cache_dir:
-            self.cache_dir = default_cache_dir()
+    def __init__(self):
+        self.budget: int = DEFAULT_BUDGET
+        self.truncation_order: int = 32
+        self.oeis_timeout: float = DEFAULT_TIMEOUT
+        self.cache_dir: str = default_cache_dir()
 
 
 def load_config(path: str | None = None, env: dict[str, str] | None = None) -> Config:

@@ -22,25 +22,25 @@ the identity's boundary term requires the S(0,0)=1 convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
 from operator import add, mul
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
 
 DEFAULT_BUDGET = 10**8  # the enumeration size cap; None lifts it
 
 
-@dataclass
 class CountContext:
     """Memo tables, passed explicitly; confine one instance to one thread."""
 
-    _stirling_rows: list[list[int]] = field(default_factory=lambda: [[1]])
-    _flat_by_k: dict[int, tuple[list[int], list[int]]] = field(default_factory=dict)
-    _bell: list[int] = field(default_factory=lambda: [1])
-    _bell_row: list[int] = field(default_factory=lambda: [1])
+    def __init__(self):
+        self._stirling_rows: list[list[int]] = [[1]]
+        self._flat_by_k: dict[int, tuple[list[int], list[int]]] = {}
+        self._bell: list[int] = [1]
+        self._bell_row: list[int] = [1]
 
 
 def stirling2(a: int, b: int, ctx: CountContext | None = None) -> int:
@@ -212,26 +212,25 @@ def max_runs_bound(n: int, k: int) -> int:
     return -(-k * n // (k + 1))
 
 
-@dataclass(frozen=True)
-class CountTableRow:
-    """One order: total count plus counts refined by run number (s >= 1).
-
-    The refinement must sum to the total.
-    """
-
+class _CountTableRow(NamedTuple):
     n: int
     total: int
     run_refined: tuple[int, ...]
 
-    def __post_init__(self):
-        if sum(self.run_refined) != self.total:
-            raise AssertionError(
-                f"run refinement {self.run_refined} does not sum to total {self.total}"
-            )
+
+class CountTableRow(_CountTableRow):
+    """One order: total count plus counts refined by run number (s >= 1),
+    which must sum to the total."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, total: int, run_refined: tuple[int, ...]):
+        if sum(run_refined) != total:
+            raise AssertionError(f"run refinement {run_refined} does not sum to total {total}")
+        return super().__new__(cls, n, total, run_refined)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     k: int
     rows: tuple[CountTableRow, ...]
 

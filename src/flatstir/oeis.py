@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counting import CountContext, count_flattened_identity, count_flattened_recurrence
 from .errors import AlignmentError, BFileParseError, DomainError, SequenceUnavailableError
@@ -37,8 +37,7 @@ def default_cache_dir() -> str:
     return os.path.join(base, "flatstir", "oeis")
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(NamedTuple):
     """Parsed b-file rows plus where they came from."""
 
     sequence_id: str
@@ -135,16 +134,14 @@ def _embedded_prefix(sequence_id: str) -> tuple[tuple[int, int], ...] | None:
     return None
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     n: int
     computed: int
     expected: int | None  # None when the fetched prefix is too short
     match: bool | None
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     k: int
     sequence_id: str
     source: str

@@ -14,9 +14,13 @@ Constructors normalize arbitrary block orderings into standard notation.
 Coloring rules are a separate predicate (`first_failed_rule`) so that
 rule-breaking partitions remain representable for negative tests;
 `good_partition` builds and checks in one step, naming the first failed
-rule on error.  The generator in
-`enumeration` builds its partitions in standard notation already and goes
-through `_trusted_partition`, so generated partitions are not re-validated.
+rule on error.  The constructor and the parsers (`parse_partition`,
+`partition_from_json`) validate.  The generator in `enumeration` and
+`bijection.phi_inverse` build good partitions in standard notation by
+construction and go through `_trusted_partition`, so they are not
+re-validated.  Either path sets the fields only through the slots' member
+descriptors (`_set_n`, `_set_k`, `_set_blocks`); ColoredPartition is a
+`__slots__` class on `words._Value`, which refuses any other assignment.
 
 `to_text` and `to_json` format each block once and join the pieces: a
 walk yields many partitions but few distinct blocks (GCP_2(8) has 28,640
@@ -30,31 +34,33 @@ still hits on most blocks (99.8 % over GCP_2(10)).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import MalformedPartitionError, PartitionRuleError
+from .words import _Value
 
 Block = tuple[tuple[int, int], ...]  # ((element, color), ...) sorted by element
 
 BLOCK_MEMO_SIZE = 4096  # formatted blocks kept, per format
 
 
-@dataclass(frozen=True)
-class ColoredPartition:
+class ColoredPartition(_Value):
     """A k-colored partition of [1..n], stored in standard block notation."""
 
-    n: int
-    k: int
-    blocks: tuple[Block, ...]
+    __slots__ = ("n", "k", "blocks")
 
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1:
+    def __init__(self, n: int, k: int, blocks: Iterable[Iterable[Sequence[int]]]):
+        if n < 1 or k < 1:
             raise MalformedPartitionError("n and k must both be at least 1")
-        normalized = _normalize(self.blocks)
-        _check_structure(self.n, self.k, normalized)
-        object.__setattr__(self, "blocks", normalized)
+        normalized = _normalize(blocks)
+        _check_structure(n, k, normalized)
+        _set_n(self, n)
+        _set_k(self, k)
+        _set_blocks(self, normalized)
+
+    def _key(self):
+        return self.n, self.k, self.blocks
 
     @property
     def first_block(self) -> Block:
@@ -80,13 +86,19 @@ def _block_json(b: Block) -> str:
     return "[" + ", ".join(f"[{e}, {c}]" for e, c in b) + "]"
 
 
+# the slots' member descriptors, bound once for the constructor and `_trusted_partition`
+_set_n = ColoredPartition.n.__set__
+_set_k = ColoredPartition.k.__set__
+_set_blocks = ColoredPartition.blocks.__set__
+
+
 def _trusted_partition(n: int, k: int, blocks: tuple[Block, ...]) -> ColoredPartition:
     """A partition whose blocks the caller guarantees are a standard-notation
     partition of [1..n] with colors in 1..k; skips normalizing and checking."""
     p = object.__new__(ColoredPartition)
-    object.__setattr__(p, "n", n)
-    object.__setattr__(p, "k", k)
-    object.__setattr__(p, "blocks", blocks)
+    _set_n(p, n)
+    _set_k(p, k)
+    _set_blocks(p, blocks)
     return p
 
 
@@ -128,7 +140,7 @@ def good_partition(
     n: int, k: int, blocks: Iterable[Iterable[Sequence[int]]]
 ) -> ColoredPartition:
     """Normalize, then enforce the good-coloring rules; raises naming the rule."""
-    p = ColoredPartition(n, k, blocks)  # __post_init__ builds the tuples
+    p = ColoredPartition(n, k, blocks)  # __init__ builds the tuples
     require_good(p)
     return p
 
@@ -169,7 +181,15 @@ def parse_partition(text: str, k: int) -> ColoredPartition:
 def partition_from_json(text: str) -> ColoredPartition:
     """Parse `to_json`'s format; every number must be a JSON integer."""
     obj = json.loads(text)
-    blocks = tuple(tuple((e, c) for e, c in b) for b in obj["blocks"])
+    if type(obj) is not dict:
+        raise MalformedPartitionError("expected a JSON object with keys 'n', 'k', 'blocks'")
+    missing = [key for key in ("n", "k", "blocks") if key not in obj]
+    if missing:
+        raise MalformedPartitionError(f"JSON partition lacks {', '.join(map(repr, missing))}")
+    try:
+        blocks = tuple(tuple((e, c) for e, c in b) for b in obj["blocks"])
+    except (TypeError, ValueError):  # not an array of arrays of pairs
+        raise MalformedPartitionError("blocks must be arrays of [element, color] pairs") from None
     n, k = obj["n"], obj["k"]
     for v in (n, k, *(x for b in blocks for pair in b for x in pair)):
         if type(v) is not int:  # a JSON float or a bool would pass int()

@@ -18,29 +18,30 @@ Two concrete generating functions live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 from operator import add
 from typing import Sequence
 
 from .counting import CountContext, stirling2
 from .errors import DomainError
+from .words import _Value
 
 TPoly = tuple[int, ...]  # polynomial in t, ascending powers, trimmed
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Value):
     """Dense integer polynomial, lowest degree first, no trailing zeros.
 
     The zero polynomial is the empty tuple.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
-            object.__setattr__(self, "coeffs", _trim(self.coeffs))
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", _trim(coeffs) if coeffs and coeffs[-1] == 0 else coeffs)
+
+    def _key(self):
+        return (self.coeffs,)
 
     @property
     def degree(self) -> int:
@@ -90,8 +91,7 @@ def _binomial_convolution(row: Sequence[int], a: Sequence[TPoly], b: Sequence[TP
     return _trim(acc)
 
 
-@dataclass(frozen=True)
-class EgfSeries:
+class EgfSeries(_Value):
     """Series in z truncated at z^N, stored as n! [z^n] for n = 0..N.
 
     Each entry is an integer polynomial in t.  The t-degree is never
@@ -99,12 +99,15 @@ class EgfSeries:
     order) in every use here.
     """
 
-    coeffs: tuple[TPoly, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[TPoly, ...]):
+        if not coeffs:
             raise DomainError("a series needs at least the z^0 coefficient")
-        object.__setattr__(self, "coeffs", tuple(_trim(p) for p in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(_trim(p) for p in coeffs))
+
+    def _key(self):
+        return (self.coeffs,)
 
     @property
     def order(self) -> int:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import analysis, bijection, counting, enumeration, oeis, series, words
 from .counting import CountContext
@@ -51,16 +50,14 @@ WORKED_EXAMPLE_PARTITION = "1_1 2_3 4_2 6_3 | 3_1 | 5_1"
 WORKED_EXAMPLE_K = 4
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
     seconds: float
 
 
-@dataclass
-class VerifyLimits:
+class VerifyLimits(NamedTuple):
     max_n: int = 8
     max_k: int = 4
     budget: int | None = counting.DEFAULT_BUDGET

@@ -10,47 +10,75 @@ The StirlingWord type only enforces the multiset shape; the Stirling and
 flattened conditions are separate predicates so that invalid words remain
 constructible for negative tests.  Every public way in (the constructor,
 `parse_word`, `word_from_json`) validates; the generators in `enumeration`
-build words that are correct by construction through `_trusted_word` and
-test them with `_leaders_weakly_increase`, so generated words are trusted
-and not re-validated.
+and `bijection.phi` build words that are correct by construction through
+`_trusted_word` (the generators test them with `_leaders_weakly_increase`),
+so those words are trusted and not re-validated.
+
+StirlingWord, like ColoredPartition and the series types, is a plain
+`__slots__` class on `_Value` with hand-written methods: the standard
+library's class generator imports `inspect` and `ast`, which would cost
+about half of the CLI's cold start.  Its fields are set through the
+slots' member descriptors (`_set_letters`, ..., bound once at import), by
+the constructor after validating or by `_trusted_word` without;
+`_Value.__setattr__` refuses any other assignment.
 
 The per-word operations are written for the brute-force walks, which call
 them tens of thousands of times: the multiset check is one comparison
-against the sorted letters, `_trusted_word` sets the slots through their
-member descriptors, `WordStats` is a named tuple, and `is_valid_stirling`
-keeps its per-value copy counts in one flat list indexed by letter, so it
-allocates nothing per value.
+against the sorted letters, `WordStats` is a named tuple, and
+`is_valid_stirling` keeps its per-value copy counts in one flat list
+indexed by letter, so it allocates nothing per value.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import MalformedWordError, NotStirlingError
 
 
-@dataclass(frozen=True, slots=True)
-class StirlingWord:
+class _Value:
+    """Base of the immutable value types: a subclass names its fields in
+    `__slots__`, sets them once past `__setattr__` and returns them from
+    `_key`.  It equals only its own type, and is no sequence or number."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class StirlingWord(_Value):
     """A word over {1^k, ..., n^k}; validated eagerly on construction."""
 
-    letters: tuple[int, ...]
-    order: int
-    multiplicity: int
+    __slots__ = ("letters", "order", "multiplicity")
 
-    def __post_init__(self):
-        n, k = self.order, self.multiplicity
+    def __init__(self, letters: tuple[int, ...], order: int, multiplicity: int):
+        n, k = order, multiplicity
         if n < 0 or k < 1:
             raise MalformedWordError(f"order {n} and multiplicity {k} must be >= 0 and >= 1")
-        if len(self.letters) != n * k:
+        if len(letters) != n * k:
             raise MalformedWordError(
-                f"expected {n * k} letters for order {n}, multiplicity {k}; got {len(self.letters)}"
+                f"expected {n * k} letters for order {n}, multiplicity {k}; got {len(letters)}"
             )
         # sorted, the multiset is 1^k 2^k ... n^k: the first and the last
         # copy of every value sit at fixed places
         try:
-            s = sorted(self.letters)
+            s = sorted(letters)
         except TypeError:  # letters of types that do not compare
             s = None
         r = list(range(1, n + 1))
@@ -58,6 +86,12 @@ class StirlingWord:
             raise MalformedWordError(
                 f"letters are not the multiset {{1^{k}, ..., {n}^{k}}}"
             )
+        _set_letters(self, letters)
+        _set_order(self, order)
+        _set_multiplicity(self, multiplicity)
+
+    def _key(self):
+        return self.letters, self.order, self.multiplicity
 
     @property
     def is_empty(self) -> bool:
@@ -74,7 +108,7 @@ class StirlingWord:
         return f'{{"letters": [{letters}], "order": {n}, "multiplicity": {k}}}'
 
 
-# the slots' member descriptors, bound once for `_trusted_word`
+# the slots' member descriptors, bound once for the constructor and `_trusted_word`
 _set_letters = StirlingWord.letters.__set__
 _set_order = StirlingWord.order.__set__
 _set_multiplicity = StirlingWord.multiplicity.__set__
@@ -110,6 +144,15 @@ def parse_word(text: str, multiplicity: int) -> StirlingWord:
 def word_from_json(text: str) -> StirlingWord:
     """Parse `to_json`'s format; every number must be a JSON integer."""
     obj = json.loads(text)
+    if type(obj) is not dict:
+        raise MalformedWordError(
+            "expected a JSON object with keys 'letters', 'order', 'multiplicity'"
+        )
+    missing = [key for key in ("letters", "order", "multiplicity") if key not in obj]
+    if missing:
+        raise MalformedWordError(f"JSON word lacks {', '.join(map(repr, missing))}")
+    if type(obj["letters"]) is not list:
+        raise MalformedWordError("letters must be a JSON array")
     letters = tuple(obj["letters"])
     order, multiplicity = obj["order"], obj["multiplicity"]
     for v in (*letters, order, multiplicity):

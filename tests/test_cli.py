@@ -163,6 +163,26 @@ class TestBijection:
         assert out == ""
         assert err == "error: usage: expected a JSON integer, got true\n"
 
+    def test_json_word_sent_forward_is_usage_error(self, capsys, monkeypatch):
+        # a partition object was expected: the parser looked up "blocks"
+        payload = '{"letters": [1, 2, 2, 1], "order": 2, "multiplicity": 2}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, out, err = run(
+            capsys, "bijection", "--direction", "forward", "--k", "2", "--format", "json"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: JSON partition lacks 'n', 'k', 'blocks'\n"
+
+    def test_json_array_sent_inverse_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[1]"))
+        code, out, err = run(
+            capsys, "bijection", "--direction", "inverse", "--k", "2", "--format", "json"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: usage: expected a JSON object with keys 'letters'")
+
 
 class TestEnumerate:
     def test_words(self, capsys):
@@ -508,5 +528,15 @@ def test_cli_import_does_not_load_mpmath():
             "print([m for m in ('mpmath', 'urllib.request', 'http.client') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # together about half of a cold start; -S keeps site's .pth imports out
+    code = ("import sys, flatstir.cli; flatstir.cli.build_parser(); "
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout == "[]\n"

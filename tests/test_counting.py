@@ -252,8 +252,11 @@ class TestRunDistribution:
         assert run_distribution_bruteforce(3, 3).run_refined == (1, 9, 2)
 
     def test_row_invariant(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="does not sum to total 5"):
             CountTableRow(2, 5, (1, 1))
+        with pytest.raises(AssertionError):
+            CountTableRow(n=2, total=5, run_refined=(1, 1))
+        assert CountTableRow(n=3, total=6, run_refined=(1, 5)) == CountTableRow(3, 6, (1, 5))
 
 
 class TestBell:

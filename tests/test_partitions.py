@@ -156,6 +156,22 @@ class TestSerialization:
         with pytest.raises(MalformedPartitionError, match="expected a JSON integer"):
             partition_from_json(payload)
 
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ("[1]", "expected a JSON object with keys 'n', 'k', 'blocks'"),
+            ('"1_1"', "expected a JSON object"),
+            ('{"letters": [1, 1], "order": 1, "multiplicity": 2}', "lacks 'n', 'k', 'blocks'"),
+            ('{"n": 1, "k": 1}', "lacks 'blocks'"),
+            ('{"n": 1, "k": 1, "blocks": 1}', "blocks must be arrays"),
+            ('{"n": 1, "k": 1, "blocks": [1]}', "blocks must be arrays"),
+            ('{"n": 1, "k": 1, "blocks": [[[1, 1, 1]]]}', "blocks must be arrays"),
+        ],
+    )
+    def test_json_of_the_wrong_shape(self, payload, message):
+        with pytest.raises(MalformedPartitionError, match=message):
+            partition_from_json(payload)
+
     def test_parse_rejects_bad_token(self):
         with pytest.raises(MalformedPartitionError):
             parse_partition("1_1 2", 2)

@@ -235,3 +235,17 @@ class TestSerialization:
     def test_json_accepts_only_integers(self, payload):
         with pytest.raises(MalformedWordError, match="expected a JSON integer"):
             word_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ("[1]", "expected a JSON object with keys 'letters', 'order', 'multiplicity'"),
+            ("null", "expected a JSON object"),
+            ('{"n": 1, "k": 1, "blocks": [[[1, 1]]]}', "lacks 'letters', 'order', 'multiplicity'"),
+            ('{"letters": [1, 1], "order": 1}', "lacks 'multiplicity'"),
+            ('{"letters": 11, "order": 1, "multiplicity": 2}', "letters must be a JSON array"),
+        ],
+    )
+    def test_json_of_the_wrong_shape(self, payload, message):
+        with pytest.raises(MalformedWordError, match=message):
+            word_from_json(payload)
