@@ -26,7 +26,6 @@ from .counting import (
     count_table,
     max_runs_bound,
     run_distribution_bruteforce,
-    stirling2,
 )
 from .enumeration import (
     gen_flattened,
@@ -128,6 +127,5 @@ __all__ = [
     "phi_inverse",
     "predicted_stirling_count",
     "run_distribution_bruteforce",
-    "stirling2",
     "word_stats",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .counting import DEFAULT_BUDGET, CountContext, run_distribution_bruteforce
+from .counting import DEFAULT_BUDGET, run_distribution_bruteforce
 from .errors import DomainError
 from .series import IntPolynomial, descent_egf, extract_descent_polynomial
 
@@ -74,12 +74,9 @@ class ConjectureRow(NamedTuple):
     real_rooted: bool
 
 
-def conjecture_report(
-    k: int, max_n: int, ctx: CountContext | None = None
-) -> list[ConjectureRow]:
+def conjecture_report(k: int, max_n: int) -> list[ConjectureRow]:
     """Unimodal / real-rooted verdicts for orders 1..max_n (series route)."""
-    ctx = ctx or CountContext()
-    egf = descent_egf(k, max_n - 1, ctx)
+    egf = descent_egf(k, max_n - 1)
     rows = []
     for n in range(1, max_n + 1):
         poly = extract_descent_polynomial(egf, n - 1)

@@ -19,7 +19,6 @@ from operator import methodcaller
 
 from . import analysis, bijection, counting, enumeration, oeis, series
 from .config import Config, ConfigError, load_config
-from .counting import CountContext
 from .errors import (
     AlignmentError,
     BFileParseError,
@@ -203,13 +202,12 @@ def cmd_enumerate(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
     _require_at_least("--n", args.n)
-    ctx = CountContext()
     if args.method == "recurrence":
-        print(counting.count_flattened_recurrence(args.n, args.k, ctx))
+        print(counting.count_flattened_recurrence(args.n, args.k))
     elif args.method == "identity":
-        print(counting.count_flattened_identity(args.n, args.k, ctx))
+        print(counting.count_flattened_identity(args.n, args.k))
     elif args.method == "egf":
-        egf = series.egf_flattened(args.k, args.n - 1, ctx)
+        egf = series.egf_flattened(args.k, args.n - 1)
         print(egf.egf_coefficient(args.n - 1))
     elif args.method == "series-approx":
         _require_at_least("--precision-bits", args.precision_bits, 64)
@@ -282,9 +280,8 @@ def cmd_bijection(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_poly(args: argparse.Namespace, cfg: Config) -> int:
     _require_at_least("--n", args.n)
-    ctx = CountContext()
     if args.method == "egf":
-        egf = series.descent_egf(args.k, args.n - 1, ctx)
+        egf = series.descent_egf(args.k, args.n - 1)
         poly = series.extract_descent_polynomial(egf, args.n - 1)
     else:
         poly = analysis.descent_polynomial_bruteforce(

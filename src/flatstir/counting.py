@@ -16,8 +16,10 @@ tests and `verify` hold the table to.
 All arithmetic is exact: the series approximation sums truncated series
 in integers, so its error bound holds by construction.
 
-Stirling numbers of the second kind use S(0,0)=1 and S(a,0)=0 for a >= 1;
-the identity's boundary term requires the S(0,0)=1 convention.
+Only the triangle keeps state across calls, in an explicitly passed
+`CountContext`.  The identity and `series.descent_egf` step their Stirling
+rows per call with `_next_stirling_row`, using S(0,0)=1 (the identity's
+boundary term needs it) and S(a,0)=0 for a >= 1.
 """
 
 from __future__ import annotations
@@ -34,27 +36,10 @@ DEFAULT_BUDGET = 10**8  # the enumeration size cap; None lifts it
 
 
 class CountContext:
-    """Memo tables, passed explicitly; confine one instance to one thread."""
+    """The derivative triangle's memo, passed explicitly; one thread per instance."""
 
     def __init__(self):
-        self._stirling_rows: list[list[int]] = [[1]]
         self._flat_by_k: dict[int, tuple[list[int], list[int]]] = {}
-        self._bell: list[int] = [1]
-        self._bell_row: list[int] = [1]
-
-
-def stirling2(a: int, b: int, ctx: CountContext | None = None) -> int:
-    """Stirling number of the second kind S(a, b).
-
-    S(0,0)=1; S(a,0)=0 for a >= 1; zero for b > a or negative arguments.
-    """
-    if a < 0 or b < 0 or b > a:
-        return 0
-    ctx = ctx or CountContext()
-    rows = ctx._stirling_rows
-    while len(rows) <= a:
-        rows.append(_next_stirling_row(rows[-1]))
-    return rows[a][b]
 
 
 def _next_stirling_row(prev: list[int], k: int = 1) -> list[int]:
@@ -63,16 +48,14 @@ def _next_stirling_row(prev: list[int], k: int = 1) -> list[int]:
     return [0, *map(add, map(mul, range(k, len(prev) * k, k), prev[1:]), prev), prev[-1]]
 
 
-def bell_number(n: int, ctx: CountContext | None = None) -> int:
-    """Bell number B(n) via the Bell triangle; independent of stirling2."""
+def bell_number(n: int) -> int:
+    """Bell number B(n) via the Bell triangle; independent of the Stirling rows."""
     if n < 0:
         raise DomainError(f"Bell numbers need n >= 0, got {n}")
-    ctx = ctx or CountContext()
-    while len(ctx._bell) <= n:
-        row = list(accumulate(ctx._bell_row, initial=ctx._bell_row[-1]))
-        ctx._bell_row = row
-        ctx._bell.append(row[0])
-    return ctx._bell[n]
+    row = [1]
+    for _ in range(n):
+        row = list(accumulate(row, initial=row[-1]))
+    return row[0]
 
 
 def count_flattened_recurrence(n: int, k: int, ctx: CountContext | None = None) -> int:
@@ -102,7 +85,8 @@ def count_flattened_identity(n: int, k: int, ctx: CountContext | None = None) ->
     over j = m-i: one row T(j, r) = k^(j-r) S(j, r) is held at a time, so the
     inner sum is the row's sum, and the outer sum is taken by Horner in k-1
     with C(m, j) advanced from C(m, j-1); memory is O(n) integers.  `ctx` is
-    accepted for the routes' uniform signature; this route keeps no state.
+    ignored (this route keeps no state); it stays because the benchmark
+    harness passes it.
     """
     _check_nk(n, k)
     m = n - 1
@@ -254,7 +238,7 @@ def run_distribution_bruteforce(
     return CountTableRow(n, total, refined)
 
 
-def count_table(k: int, max_n: int, *, ctx: CountContext | None = None) -> CountTable:
+def count_table(k: int, max_n: int) -> CountTable:
     """Totals and run-refined counts for n=1..max_n, without enumeration.
 
     Runs = descents + 1, so the refinement at order n is the descent
@@ -264,8 +248,8 @@ def count_table(k: int, max_n: int, *, ctx: CountContext | None = None) -> Count
     from . import series  # local import: series depends on this module
 
     _check_nk(max_n, k)
-    ctx = ctx or CountContext()
-    egf = series.descent_egf(k, max_n - 1, ctx)
+    ctx = CountContext()
+    egf = series.descent_egf(k, max_n - 1)
     rows = []
     for n in range(1, max_n + 1):
         refined = egf.coeffs[n - 1]

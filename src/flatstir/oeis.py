@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 from typing import NamedTuple
 
 from .counting import CountContext, count_flattened_identity, count_flattened_recurrence
@@ -115,6 +114,8 @@ def _download(sequence_id: str, timeout: float) -> str | None:
 
 
 def _atomic_write(path: str, data: bytes) -> None:
+    import tempfile  # local import: its imports are a large share of the cold start
+
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
@@ -164,7 +165,6 @@ def cross_check(
     offline: bool = False,
     cache_dir: str | None = None,
     timeout: float = DEFAULT_TIMEOUT,
-    ctx: CountContext | None = None,
 ) -> CrossCheckReport:
     """Compare computed counts of order n+1, n = 0..max_n, with a sequence.
 
@@ -176,7 +176,7 @@ def cross_check(
         raise DomainError(f"no cited sequence for k={k}; only k in {sorted(SEQUENCE_BY_K)}")
     if max_n < 2:
         raise DomainError("need max_n >= 2: alignment uses the first three terms")
-    ctx = ctx or CountContext()
+    ctx = CountContext()
     sequence_id = SEQUENCE_BY_K[k]
     cache_dir = cache_dir or default_cache_dir()
     bfile = fetch_bfile(sequence_id, cache_dir=cache_dir, offline=offline, timeout=timeout)

@@ -13,16 +13,17 @@ Two concrete generating functions live here:
     flattened words of order n+1.
   * descent_egf(k):  (t(e^z-1)+1)^(k-1) * exp(z + sum_j k!/(k-j)! H_j t^j)
     with H_j = sum_n S(n-1, j) z^n / n!; entry n is the descent polynomial
-    over flattened words of order n+1.
+    over flattened words of order n+1.  Its Stirling rows are stepped per
+    call by `counting._next_stirling_row`; no memo keeps them.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
-from .counting import CountContext, stirling2
+from .counting import CountContext, _next_stirling_row
 from .errors import DomainError
 from .words import _Value
 
@@ -38,7 +39,7 @@ class IntPolynomial(_Value):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "coeffs", _trim(coeffs) if coeffs and coeffs[-1] == 0 else coeffs)
+        object.__setattr__(self, "coeffs", _trim(coeffs))
 
     def _key(self):
         return (self.coeffs,)
@@ -119,6 +120,8 @@ class EgfSeries(_Value):
 
     def __mul__(self, other: "EgfSeries") -> "EgfSeries":
         """The EGF product: entry n is sum_i C(n, i) A_i B_{n-i}."""
+        if not isinstance(other, EgfSeries):
+            return NotImplemented
         rows = _pascal_rows(min(self.order, other.order) + 1)
         return EgfSeries(tuple(_binomial_convolution(r, self.coeffs, other.coeffs) for r in rows))
 
@@ -145,32 +148,32 @@ def egf_flattened(k: int, order: int, ctx: CountContext | None = None) -> EgfSer
     Entry n equals the number of flattened k-Stirling words of order n+1.
     The exponent has entries A_1 = k and A_n = k^(n-1); on it, the exp step
     is the paper's recurrence f(m+1) = (k-1) f(m) + sum_r C(m-1, r-1) k^(r-1) f(m-r+1).
+    `ctx` is ignored; it stays because the benchmark harness passes it.
     """
     _check_k_order(k, order)
     exponent = ((),) + tuple((k if n == 1 else k ** (n - 1),) for n in range(1, order + 1))
     return EgfSeries(exponent).exp()
 
 
-def descent_egf(k: int, order: int, ctx: CountContext | None = None) -> EgfSeries:
+def descent_egf(k: int, order: int) -> EgfSeries:
     """The bivariate EGF of descent polynomials over flattened words.
 
     (t(e^z - 1) + 1)^(k-1) * exp(z + sum_{j=1}^{k} k!/(k-j)! H_j(z) t^j);
     entry n is the descent polynomial at order n+1.  The exponent has
     entries A_n = [n=1] + sum_j k!/(k-j)! S(n-1, j) t^j, and the weight has
-    entries sum_j C(k-1, j) j! S(n, j) t^j.
+    entries sum_j C(k-1, j) j! S(n, j) t^j.  Both read S(n, j) = 0 for j > n.
     """
     _check_k_order(k, order)
-    ctx = ctx or CountContext()
-    weight = tuple(
-        tuple(comb(k - 1, j) * factorial(j) * stirling2(n, j, ctx) for j in range(k))
-        for n in range(order + 1)
-    )
-    falling = [factorial(k) // factorial(k - j) for j in range(k + 1)]
-    exponent = ((),) + tuple(
-        (int(n == 1),) + tuple(falling[j] * stirling2(n - 1, j, ctx) for j in range(1, k + 1))
-        for n in range(1, order + 1)
-    )
-    return EgfSeries(weight) * EgfSeries(exponent).exp()
+    choose = [comb(k - 1, j) * factorial(j) for j in range(k)]
+    falling = [factorial(k) // factorial(k - j) for j in range(1, k + 1)]
+    weight, exponent, row = [], [()], [1]  # row is S(n, 0..n)
+    for n in range(order + 1):
+        s = row + [0] * k
+        weight.append(tuple(map(mul, choose, s)))
+        if n < order:  # exponent entry n+1 reads S(n, 1..k)
+            exponent.append((int(n == 0), *map(mul, falling, s[1:])))
+            row = _next_stirling_row(row)
+    return EgfSeries(tuple(weight)) * EgfSeries(tuple(exponent)).exp()
 
 
 def extract_descent_polynomial(b: EgfSeries, n: int) -> IntPolynomial:

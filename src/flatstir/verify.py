@@ -11,7 +11,6 @@ recomputed from scratch by the brute-force oracle inside these checks.
 
 from __future__ import annotations
 
-import tempfile
 import time
 from typing import Callable, NamedTuple
 
@@ -120,10 +119,10 @@ def _check_totals(state: _State) -> str:
     ctx = state.ctx
     for n, expected in REFERENCE_TOTALS_K2.items():
         rec = counting.count_flattened_recurrence(n, 2, ctx)
-        ident = counting.count_flattened_identity(n, 2, ctx)
+        ident = counting.count_flattened_identity(n, 2)
         _expect(rec == expected, f"recurrence({n},2)={rec}, reference {expected}")
         _expect(ident == expected, f"identity({n},2)={ident}, reference {expected}")
-    egf = series.egf_flattened(2, 9, ctx)
+    egf = series.egf_flattened(2, 9)
     for n in range(10):
         coeff = egf.egf_coefficient(n)
         _expect(
@@ -131,10 +130,10 @@ def _check_totals(state: _State) -> str:
             f"egf coefficient at order {n + 1} is {coeff}",
         )
     for k in range(1, 7):
-        series_route = series.egf_flattened(k, 24, ctx)
+        series_route = series.egf_flattened(k, 24)
         for n in range(1, 26):
             rec = counting.count_flattened_recurrence(n, k, ctx)
-            ident = counting.count_flattened_identity(n, k, ctx)
+            ident = counting.count_flattened_identity(n, k)
             _expect(rec == ident, f"recurrence/identity disagree at n={n}, k={k}")
             _expect(
                 series_route.egf_coefficient(n - 1) == rec,
@@ -215,10 +214,9 @@ def _check_run_closed_forms(state: _State) -> str:
 
 
 def _check_descent_polynomials(state: _State) -> str:
-    ctx = state.ctx
     for k, n_top in ((2, 7), (3, 5), (4, 4)):
         top = min(state.limits.max_n, n_top)
-        egf = series.descent_egf(k, top - 1, ctx)
+        egf = series.descent_egf(k, top - 1)
         for n in range(1, top + 1):
             extracted = series.extract_descent_polynomial(egf, n - 1)
             brute = analysis.descent_polynomial_bruteforce(n, k, budget=state.limits.budget)
@@ -227,7 +225,7 @@ def _check_descent_polynomials(state: _State) -> str:
                 f"descent polynomial at n={n}, k={k}: {extracted.coeffs} != {brute.coeffs}",
             )
     for (n, k), coeffs in REFERENCE_DESCENT_POLYS.items():
-        egf = series.descent_egf(k, n - 1, ctx)
+        egf = series.descent_egf(k, n - 1)
         extracted = series.extract_descent_polynomial(egf, n - 1)
         _expect(
             extracted.coeffs == coeffs,
@@ -237,19 +235,18 @@ def _check_descent_polynomials(state: _State) -> str:
 
 
 def _check_specializations(state: _State) -> str:
-    ctx = state.ctx
     order = 20
     _expect(
-        series.descent_egf(1, order, ctx) == closed_form_k1(order),
+        series.descent_egf(1, order) == closed_form_k1(order),
         "k=1 series differs from its closed form",
     )
     _expect(
-        series.descent_egf(2, order, ctx) == closed_form_k2(order),
+        series.descent_egf(2, order) == closed_form_k2(order),
         "k=2 series differs from its closed form",
     )
     for k in range(1, 6):
-        bivariate = series.descent_egf(k, 25, ctx)
-        univariate = series.egf_flattened(k, 25, ctx)
+        bivariate = series.descent_egf(k, 25)
+        univariate = series.egf_flattened(k, 25)
         _expect(
             all(bivariate.egf_coefficient(n) == univariate.egf_coefficient(n) for n in range(26)),
             f"t->1 collapse differs from the univariate series at k={k}",
@@ -297,13 +294,14 @@ def _check_bell(state: _State) -> str:
     ctx = state.ctx
     for n in range(21):
         flat = counting.count_flattened_recurrence(n + 1, 1, ctx)
-        bell = counting.bell_number(n, ctx)
+        bell = counting.bell_number(n)
         _expect(flat == bell, f"order {n + 1} count {flat} != Bell({n}) = {bell}")
     return "k=1 counts equal Bell numbers through n=20"
 
 
 def _check_oeis(state: _State) -> str:
-    ctx = state.ctx
+    import tempfile  # local import: its imports are a large share of the cold start
+
     sources = []
     for k in (2, 3, 4):
         report = oeis.cross_check(
@@ -312,14 +310,13 @@ def _check_oeis(state: _State) -> str:
             offline=state.limits.offline_oeis,
             cache_dir=state.limits.cache_dir,
             timeout=state.limits.oeis_timeout,
-            ctx=ctx,
         )
         _expect(report.all_match, f"sequence mismatch for k={k} ({report.sequence_id})")
         _expect(report.compared >= 10, f"only {report.compared} terms compared for k={k}")
         sources.append(f"{report.sequence_id}:{report.source}")
     with tempfile.TemporaryDirectory() as tmp:
         for k in (2, 3, 4):
-            report = oeis.cross_check(k, 9, offline=True, cache_dir=tmp, ctx=ctx)
+            report = oeis.cross_check(k, 9, offline=True, cache_dir=tmp)
             _expect(report.source == "embedded", "offline run did not use embedded terms")
             _expect(report.all_match, f"offline mismatch for k={k}")
     return "matched " + ", ".join(sources) + "; offline embedded path passes"
@@ -352,12 +349,12 @@ def _check_properties(state: _State) -> str:
 
 
 def _check_conjectures(state: _State) -> str:
-    rows = analysis.conjecture_report(2, 10, state.ctx)
+    rows = analysis.conjecture_report(2, 10)
     for row in rows:
         _expect(row.unimodal, f"order {row.n} polynomial reported non-unimodal")
         _expect(row.real_rooted, f"order {row.n} polynomial reported non-real-rooted")
     for k in (3, 4):
-        for row in analysis.conjecture_report(k, 5, state.ctx):
+        for row in analysis.conjecture_report(k, 5):
             if row.n >= 3:
                 _expect(
                     row.unimodal and row.real_rooted,

@@ -63,11 +63,11 @@ def dist_k1():
 def test_criterion_01_totals_three_routes(capsys, actx):
     with criterion(capsys, "1: totals by recurrence/identity/EGF, k=2, n=1..10"):
         start = time.monotonic()
-        egf = fs.egf_flattened(2, 9, actx)
+        egf = fs.egf_flattened(2, 9)
         for n in range(1, 11):
             expected = REFERENCE_TOTALS_K2[n]
             assert fs.count_flattened_recurrence(n, 2, actx) == expected
-            assert fs.count_flattened_identity(n, 2, actx) == expected
+            assert fs.count_flattened_identity(n, 2) == expected
             assert egf.egf_coefficient(n - 1) == expected
         assert time.monotonic() - start < 1.0
 
@@ -124,28 +124,28 @@ def test_criterion_05_run_count_closed_forms(capsys, dist_k1, dist_k2, dist_k3):
         assert [fs.count_max_runs_k2(n) for n in range(4, 9)] == [8, 8, 190, 280, 280]
 
 
-def test_criterion_06_descent_egf_vs_bruteforce(capsys, actx):
+def test_criterion_06_descent_egf_vs_bruteforce(capsys):
     with criterion(capsys, "6: descent polynomials from the bivariate EGF"):
         for k, top in ((2, 7), (3, 5), (4, 4)):
-            egf = fs.descent_egf(k, top - 1, actx)
+            egf = fs.descent_egf(k, top - 1)
             for n in range(1, top + 1):
                 extracted = fs.extract_descent_polynomial(egf, n - 1)
                 brute = fs.descent_polynomial_bruteforce(n, k)
                 assert extracted == brute, f"n={n}, k={k}"
         for (n, k), coeffs in REFERENCE_DESCENT_POLYS.items():
-            egf = fs.descent_egf(k, n - 1, actx)
+            egf = fs.descent_egf(k, n - 1)
             assert fs.extract_descent_polynomial(egf, n - 1).coeffs == coeffs
 
 
-def test_criterion_07_specializations(capsys, actx):
+def test_criterion_07_specializations(capsys):
     with criterion(capsys, "7: closed forms at k=1,2 and the t->1 collapse"):
         order = 20
-        assert fs.descent_egf(1, order, actx) == closed_form_k1(order)
-        assert fs.descent_egf(2, order, actx) == closed_form_k2(order)
+        assert fs.descent_egf(1, order) == closed_form_k1(order)
+        assert fs.descent_egf(2, order) == closed_form_k2(order)
 
         for k in range(1, 6):
-            bivariate = fs.descent_egf(k, 25, actx)
-            univariate = fs.egf_flattened(k, 25, actx)
+            bivariate = fs.descent_egf(k, 25)
+            univariate = fs.egf_flattened(k, 25)
             collapsed = [bivariate.egf_coefficient(n) for n in range(26)]
             assert collapsed == [univariate.egf_coefficient(n) for n in range(26)], f"k={k}"
 
@@ -163,21 +163,21 @@ def test_criterion_08_numeric_series(capsys, actx):
 def test_criterion_09_bell_reduction(capsys, actx):
     with criterion(capsys, "9: k=1 counts equal Bell numbers, n<=20"):
         for n in range(21):
-            assert fs.count_flattened_recurrence(n + 1, 1, actx) == fs.bell_number(n, actx)
+            assert fs.count_flattened_recurrence(n + 1, 1, actx) == fs.bell_number(n)
 
 
-def test_criterion_10_oeis(capsys, actx):
+def test_criterion_10_oeis(capsys):
     with criterion(capsys, "10: sequence cross-checks, fetched and offline"):
         with tempfile.TemporaryDirectory() as tmp:
             for k in (2, 3, 4):
                 # falls back if the network is absent
-                report = fs.cross_check(k, 9, cache_dir=tmp, ctx=actx)
+                report = fs.cross_check(k, 9, cache_dir=tmp)
                 assert report.all_match, f"k={k} via {report.source}"
                 if k == 2:
                     assert report.compared >= 10
         with tempfile.TemporaryDirectory() as tmp:
             for k in (2, 3, 4):
-                offline = fs.cross_check(k, 9, offline=True, cache_dir=tmp, ctx=actx)
+                offline = fs.cross_check(k, 9, offline=True, cache_dir=tmp)
                 assert offline.source == "embedded"
                 assert offline.all_match
                 assert offline.compared >= 10
@@ -201,10 +201,10 @@ def test_criterion_11_property_suite(capsys):
                     assert fs.block_descent_count(p) == fs.word_stats(fs.phi(p)).descents
 
 
-def test_criterion_12_conjecture_report(capsys, actx):
+def test_criterion_12_conjecture_report(capsys):
     with criterion(capsys, "12: evidence report for the open questions"):
         start = time.monotonic()
-        rows = fs.conjecture_report(2, 10, actx)
+        rows = fs.conjecture_report(2, 10)
         assert len(rows) == 10
         for row in rows:
             assert row.unimodal, f"order {row.n}"

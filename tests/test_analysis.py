@@ -23,9 +23,9 @@ class TestDescentPolynomialBruteforce:
         assert descent_polynomial_bruteforce(1, k).coeffs == (1,)
 
     @pytest.mark.parametrize("n,k", [(2, 2), (4, 2), (6, 2), (4, 3), (3, 4)])
-    def test_matches_series_route(self, n, k, ctx):
+    def test_matches_series_route(self, n, k):
         brute = descent_polynomial_bruteforce(n, k)
-        extracted = extract_descent_polynomial(descent_egf(k, n - 1, ctx), n - 1)
+        extracted = extract_descent_polynomial(descent_egf(k, n - 1), n - 1)
         assert brute == extracted
 
 
@@ -80,9 +80,9 @@ class TestRealRooted:
         with pytest.raises(DomainError):
             is_real_rooted(IntPolynomial(()))
 
-    def test_reversal_invariance_on_descent_polynomials(self, ctx):
+    def test_reversal_invariance_on_descent_polynomials(self):
         for k in (2, 3):
-            egf = descent_egf(k, 6, ctx)
+            egf = descent_egf(k, 6)
             for n in range(7):
                 poly = extract_descent_polynomial(egf, n)
                 assert is_real_rooted(poly) == is_real_rooted(IntPolynomial(poly.coeffs[::-1]))
@@ -124,19 +124,19 @@ def test_known_answers_with_repeated_roots(factors, c):
 
 
 @pytest.mark.parametrize("k,last_real_rooted", [(2, 26), (3, 40), (4, 53)])
-def test_real_rootedness_fails_one_order_past(k, last_real_rooted, ctx):
-    egf = descent_egf(k, last_real_rooted, ctx)  # entry n - 1 is order n
+def test_real_rootedness_fails_one_order_past(k, last_real_rooted):
+    egf = descent_egf(k, last_real_rooted)  # entry n - 1 is order n
     assert is_real_rooted(extract_descent_polynomial(egf, last_real_rooted - 1))
     assert not is_real_rooted(extract_descent_polynomial(egf, last_real_rooted))
 
 
 class TestConjectureReport:
-    def test_k2_through_order_10(self, ctx):
-        rows = conjecture_report(2, 10, ctx)
+    def test_k2_through_order_10(self):
+        rows = conjecture_report(2, 10)
         assert len(rows) == 10
         assert all(r.unimodal and r.real_rooted for r in rows)
         assert rows[4].coefficients == (1, 37, 70, 8)
 
-    def test_k3_published_range(self, ctx):
-        rows = conjecture_report(3, 5, ctx)
+    def test_k3_published_range(self):
+        rows = conjecture_report(3, 5)
         assert all(r.unimodal and r.real_rooted for r in rows if r.n >= 3)

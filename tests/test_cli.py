@@ -533,9 +533,12 @@ def test_cli_import_does_not_load_mpmath():
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    # together about half of a cold start; -S keeps site's .pth imports out
+    # together about half of a cold start, and tempfile (with random) is the
+    # next largest piece; -S keeps site's .pth imports out.  shutil is not
+    # checked: argparse's help formatter loads it.
     code = ("import sys, flatstir.cli; flatstir.cli.build_parser(); "
-            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+            "print([m for m in ('dataclasses', 'inspect', 'tempfile', 'random') "
+            "if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)

@@ -121,48 +121,48 @@ class TestCrossCheck:
         with pytest.raises(DomainError):
             cross_check(5, 9, cache_dir=str(tmp_path), offline=True)
 
-    def test_offline_matches_embedded(self, tmp_path, ctx):
-        report = cross_check(2, 9, offline=True, cache_dir=str(tmp_path), ctx=ctx)
+    def test_offline_matches_embedded(self, tmp_path):
+        report = cross_check(2, 9, offline=True, cache_dir=str(tmp_path))
         assert report.source == "embedded"
         assert report.all_match
         assert report.compared == 10
         assert report.shift == 0
 
     @pytest.mark.parametrize("k", [3, 4])
-    def test_offline_other_sequences(self, k, tmp_path, ctx):
-        report = cross_check(k, 9, offline=True, cache_dir=str(tmp_path), ctx=ctx)
+    def test_offline_other_sequences(self, k, tmp_path):
+        report = cross_check(k, 9, offline=True, cache_dir=str(tmp_path))
         assert report.all_match
 
-    def test_alignment_with_leading_junk(self, tmp_path, ctx):
+    def test_alignment_with_leading_junk(self, tmp_path):
         # a prefix that starts two terms before our n=0 value
         (tmp_path / "b007405.txt").write_text(fake_bfile_text([7, 9] + K2_PREFIX, -2))
-        report = cross_check(2, 9, offline=True, cache_dir=str(tmp_path), ctx=ctx)
+        report = cross_check(2, 9, offline=True, cache_dir=str(tmp_path))
         assert report.shift == 2
         assert report.all_match
         pins = (tmp_path / "offsets.conf").read_text()
         assert "A007405=2" in pins
 
-    def test_pinned_shift_reused(self, tmp_path, ctx):
+    def test_pinned_shift_reused(self, tmp_path):
         (tmp_path / "b007405.txt").write_text(fake_bfile_text([7, 9] + K2_PREFIX, -2))
-        first = cross_check(2, 5, offline=True, cache_dir=str(tmp_path), ctx=ctx)
-        second = cross_check(2, 5, offline=True, cache_dir=str(tmp_path), ctx=ctx)
+        first = cross_check(2, 5, offline=True, cache_dir=str(tmp_path))
+        second = cross_check(2, 5, offline=True, cache_dir=str(tmp_path))
         assert first.shift == second.shift == 2
 
-    def test_stale_pin_raises(self, tmp_path, ctx):
+    def test_stale_pin_raises(self, tmp_path):
         (tmp_path / "b007405.txt").write_text(fake_bfile_text(K2_PREFIX))
         (tmp_path / "offsets.conf").write_text("A007405=3\n")
         with pytest.raises(AlignmentError):
-            cross_check(2, 5, offline=True, cache_dir=str(tmp_path), ctx=ctx)
+            cross_check(2, 5, offline=True, cache_dir=str(tmp_path))
 
-    def test_unalignable_data_raises(self, tmp_path, ctx):
+    def test_unalignable_data_raises(self, tmp_path):
         (tmp_path / "b007405.txt").write_text(fake_bfile_text([5, 5, 5, 5, 5]))
         with pytest.raises(AlignmentError):
-            cross_check(2, 5, offline=True, cache_dir=str(tmp_path), ctx=ctx)
+            cross_check(2, 5, offline=True, cache_dir=str(tmp_path))
 
-    def test_mismatch_reported_not_raised(self, tmp_path, ctx):
+    def test_mismatch_reported_not_raised(self, tmp_path):
         values = K2_PREFIX[:6] + [99]  # corrupt the n=6 value
         (tmp_path / "b007405.txt").write_text(fake_bfile_text(values))
-        report = cross_check(2, 6, offline=True, cache_dir=str(tmp_path), ctx=ctx)
+        report = cross_check(2, 6, offline=True, cache_dir=str(tmp_path))
         assert not report.all_match
         assert [r.match for r in report.rows] == [True] * 6 + [False]
 
@@ -178,9 +178,9 @@ class TestCrossCheck:
         assert not report.all_match
         assert [r.n for r in report.rows if not r.match] == list(range(4, 10))
 
-    def test_short_prefix_rows_not_compared(self, tmp_path, ctx):
+    def test_short_prefix_rows_not_compared(self, tmp_path):
         (tmp_path / "b007405.txt").write_text(fake_bfile_text(K2_PREFIX[:4]))
-        report = cross_check(2, 6, offline=True, cache_dir=str(tmp_path), ctx=ctx)
+        report = cross_check(2, 6, offline=True, cache_dir=str(tmp_path))
         assert report.compared == 4
         assert report.all_match  # missing rows are not counted as mismatches
         assert report.rows[5].expected is None

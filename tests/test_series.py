@@ -116,71 +116,71 @@ def test_exp_matches_per_term_binomials(s):
 
 
 class TestEgfFlattened:
-    def test_k2_order10(self, ctx):
-        egf = egf_flattened(2, 9, ctx)
+    def test_k2_order10(self):
+        egf = egf_flattened(2, 9)
         assert egf.egf_coefficient(9) == 1832224
 
-    def test_k3_order3(self, ctx):
-        assert egf_flattened(3, 5, ctx).egf_coefficient(2) == 12
+    def test_k3_order3(self):
+        assert egf_flattened(3, 5).egf_coefficient(2) == 12
 
     @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_constant_term(self, k, ctx):
-        assert egf_flattened(k, 4, ctx).egf_coefficient(0) == 1
+    def test_constant_term(self, k):
+        assert egf_flattened(k, 4).egf_coefficient(0) == 1
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_matches_recurrence(self, k, ctx):
-        egf = egf_flattened(k, 24, ctx)
+        egf = egf_flattened(k, 24)
         for n in range(25):
             assert egf.egf_coefficient(n) == count_flattened_recurrence(n + 1, k, ctx)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_matches_triangle_at_order_300(self, k):
         ctx = CountContext()  # fresh: the triangle's memo for k grows to order 300
-        egf = egf_flattened(k, 299, ctx)
+        egf = egf_flattened(k, 299)
         for n in range(300):
             assert egf.egf_coefficient(n) == count_flattened_recurrence(n + 1, k, ctx)
 
 
 class TestDescentEgf:
-    def test_k2_order2_polynomial(self, ctx):
-        poly = extract_descent_polynomial(descent_egf(2, 1, ctx), 1)
+    def test_k2_order2_polynomial(self):
+        poly = extract_descent_polynomial(descent_egf(2, 1), 1)
         assert poly.coeffs == (1, 1)
 
-    def test_published_k3_and_k4(self, ctx):
-        b3 = descent_egf(3, 4, ctx)
+    def test_published_k3_and_k4(self):
+        b3 = descent_egf(3, 4)
         assert extract_descent_polynomial(b3, 2).coeffs == (1, 9, 2)
         assert extract_descent_polynomial(b3, 3).coeffs == (1, 26, 36)
         assert extract_descent_polynomial(b3, 4).coeffs == (1, 63, 251, 90)
-        b4 = descent_egf(4, 4, ctx)
+        b4 = descent_egf(4, 4)
         assert extract_descent_polynomial(b4, 2).coeffs == (1, 13, 6)
         assert extract_descent_polynomial(b4, 3).coeffs == (1, 37, 84, 6)
         assert extract_descent_polynomial(b4, 4).coeffs == (1, 89, 546, 372)
 
-    def test_k2_table_row(self, ctx):
-        poly = extract_descent_polynomial(descent_egf(2, 4, ctx), 4)
+    def test_k2_table_row(self):
+        poly = extract_descent_polynomial(descent_egf(2, 4), 4)
         assert poly.coeffs == (1, 37, 70, 8)
 
-    def test_k1_matches_closed_form(self, ctx):
-        assert descent_egf(1, 12, ctx) == closed_form_k1(12)
+    def test_k1_matches_closed_form(self):
+        assert descent_egf(1, 12) == closed_form_k1(12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_t1_collapses_to_univariate(self, k, ctx):
-        bivariate, univariate = descent_egf(k, 15, ctx), egf_flattened(k, 15, ctx)
+    def test_t1_collapses_to_univariate(self, k):
+        bivariate, univariate = descent_egf(k, 15), egf_flattened(k, 15)
         assert [bivariate.egf_coefficient(n) for n in range(16)] == [
             univariate.egf_coefficient(n) for n in range(16)
         ]
 
     @pytest.mark.parametrize("n,k", [(2, 2), (4, 2), (5, 2), (4, 3), (3, 4)])
-    def test_degree_is_descent_maximum(self, n, k, ctx):
-        poly = extract_descent_polynomial(descent_egf(k, n - 1, ctx), n - 1)
+    def test_degree_is_descent_maximum(self, n, k):
+        poly = extract_descent_polynomial(descent_egf(k, n - 1), n - 1)
         assert poly.degree == max_runs_bound(n, k) - 1
 
-    def test_extract_constant(self, ctx):
-        assert extract_descent_polynomial(descent_egf(3, 0, ctx), 0).coeffs == (1,)
+    def test_extract_constant(self):
+        assert extract_descent_polynomial(descent_egf(3, 0), 0).coeffs == (1,)
 
-    def test_extract_beyond_truncation(self, ctx):
+    def test_extract_beyond_truncation(self):
         with pytest.raises(DomainError):
-            extract_descent_polynomial(descent_egf(2, 3, ctx), 4)
+            extract_descent_polynomial(descent_egf(2, 3), 4)
 
     def test_bivariate_exp_needs_zero_constant(self):
         with pytest.raises(DomainError):

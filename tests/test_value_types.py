@@ -102,7 +102,13 @@ class TestValueContract:
             a + a
         with pytest.raises(TypeError):
             2 * a
-        if kind != "series":  # a series times a series is the EGF product
-            with pytest.raises(TypeError):
-                a * 2
+        with pytest.raises(TypeError):  # only a series times a series is defined
+            a * 2
 
+
+@pytest.mark.parametrize("coeffs", [[1, 2], [1, 2, 0], range(1, 3)])
+def test_polynomial_stores_a_tuple_whatever_it_is_given(coeffs):
+    a = IntPolynomial(coeffs)
+    assert type(a.coeffs) is tuple
+    assert a == IntPolynomial((1, 2))
+    assert hash(a) == hash(IntPolynomial((1, 2)))
