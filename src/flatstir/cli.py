@@ -3,19 +3,21 @@
 All results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification mismatch or series term cap hit, 2 usage error, 3 budget
 exceeded or out of memory, 4 network or sequence data unavailable.
+
+A standard-library module that only some commands use (`fractions`,
+`decimal`, `json`) is imported where it is used, and so is `verify`, which
+only its own command needs; the other commands start without them.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
-import json
 import os
 import sys
-from fractions import Fraction
 from itertools import islice
 from math import factorial
 from operator import methodcaller
+from typing import TYPE_CHECKING
 
 from . import analysis, bijection, counting, enumeration, oeis, series
 from .config import Config, ConfigError, load_config
@@ -29,8 +31,10 @@ from .errors import (
     SequenceUnavailableError,
 )
 from .partitions import parse_partition, partition_from_json
-from .verify import VerifyLimits, run_verification
 from .words import parse_word, word_from_json
+
+if TYPE_CHECKING:
+    from .verify import CheckResult, VerifyLimits
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -80,6 +84,12 @@ def main(argv: list[str] | None = None) -> int:
 def _fail(category: str, exc: Exception | str, code: int) -> int:
     print(f"error: {category}: {exc}", file=sys.stderr)
     return code
+
+
+def _print_json(payload: object) -> None:
+    import json  # local import: only --format json output needs it
+
+    print(json.dumps(payload))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,6 +225,8 @@ def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
             args.n - 1, args.k, args.precision_bits
         )
         print(rounded)
+        import decimal  # local import: only this route prints a decimal
+
         digits = decimal.Context(prec=30)
         print(f"{digits.divide(approx.numerator, approx.denominator):.30g}", file=sys.stderr)
     else:
@@ -241,7 +253,7 @@ def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
                 for row in table.rows
             ],
         }
-        print(json.dumps(payload))
+        _print_json(payload)
         return EXIT_OK
     width = max(len(row.run_refined) for row in table.rows)
     header = ["n", "words", "flattened"] + [f"runs={s}" for s in range(1, width + 1)]
@@ -288,18 +300,20 @@ def cmd_poly(args: argparse.Namespace, cfg: Config) -> int:
             args.n, args.k, budget=_budget(args, cfg)
         )
     if args.format == "json":
-        print(json.dumps({"n": args.n, "k": args.k, "coefficients": list(poly.coeffs)}))
+        _print_json({"n": args.n, "k": args.k, "coefficients": list(poly.coeffs)})
     else:
         print(poly.to_text())
     return EXIT_OK
 
 
 def cmd_egf(args: argparse.Namespace, cfg: Config) -> int:
+    from fractions import Fraction  # local import: it loads decimal and numbers too
+
     order = args.order if args.order is not None else cfg.truncation_order
     egf = series.egf_flattened(args.k, order)
     fractions = [str(Fraction(egf.egf_coefficient(n), factorial(n))) for n in range(order + 1)]
     if args.format == "json":
-        print(json.dumps({"k": args.k, "order": order, "coefficients": fractions}))
+        _print_json({"k": args.k, "order": order, "coefficients": fractions})
     else:
         for n, text in enumerate(fractions):
             print(f"{n} {text}")
@@ -307,6 +321,8 @@ def cmd_egf(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
+    from .verify import VerifyLimits  # local import: no other command needs the module
+
     _require_at_least("--max-n", args.max_n)
     _require_at_least("--max-k", args.max_k)
     limits = VerifyLimits(
@@ -327,6 +343,17 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
         print(f"error: verification: {failures} check(s) failed", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
+
+
+def run_verification(limits: VerifyLimits) -> list[CheckResult]:
+    """`verify.run_verification`, importing `verify` on the first call.
+
+    A module attribute of `cli`, so the benchmark's tracer can wrap it as
+    before; no other command loads `verify`.
+    """
+    from . import verify
+
+    return verify.run_verification(limits)
 
 
 def cmd_oeis(args: argparse.Namespace, cfg: Config) -> int:
@@ -350,7 +377,7 @@ def cmd_oeis(args: argparse.Namespace, cfg: Config) -> int:
             ],
             "all_match": report.all_match,
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(f"{report.sequence_id} (source: {report.source}, shift {report.shift})")
         for r in report.rows:
@@ -376,7 +403,7 @@ def cmd_conjecture(args: argparse.Namespace, cfg: Config) -> int:
             }
             for r in rows
         ]
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print("| n | k | polynomial | unimodal | real-rooted |")
         print("| --- | --- | --- | --- | --- |")

@@ -24,13 +24,15 @@ boundary term needs it) and S(a,0)=0 for a >= 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
 from operator import add, mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConvergenceError, DomainError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_BUDGET = 10**8  # the enumeration size cap; None lifts it
 
@@ -111,6 +113,8 @@ def count_flattened_series_approx(
     that term is below 2^-(h+1).  The approximation is then within
     1.5 * 2^-h < 1/2 of the exact count.  Returns (approximation, integer).
     """
+    from fractions import Fraction  # local import: it loads decimal and numbers too
+
     if n < 0 or k < 1:
         raise DomainError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
     if precision_bits < 64:
@@ -151,11 +155,12 @@ def count_runs_3(n: int, k: int) -> int:
     """Flattened words of order n with exactly three runs (four-term form).
 
     The two double sums count the two-non-singleton-block cases; the inner
-    sum collapses to 2^M - 1 - M.
+    sum collapses to 2^M - 1 - M.  The terms are summed over the common
+    denominator 12.
     """
     _check_nk(n, k)
-    total = Fraction(k - 1) * (k - 2) / 2 * (3 ** (n - 1) - 2**n + 1)
-    total += Fraction(k) * (k - 1) / 12 * (3**n - 6 * 2**n + 6 * n + 3)
+    total = 6 * (k - 1) * (k - 2) * (3 ** (n - 1) - 2**n + 1)
+    total += k * (k - 1) * (3**n - 6 * 2**n + 6 * n + 3)
     s_with_first = 0  # one non-singleton contains the element 1
     for i in range(1, n - 2):
         m = n - 1 - i
@@ -164,11 +169,9 @@ def count_runs_3(n: int, k: int) -> int:
     for i in range(2, n - 2):
         m = n - 1 - i
         s_without_first += comb(n - 1, i) * (2**m - 1 - m)
-    total += k * (k - 1) * s_with_first
-    total += Fraction(k * k) / 2 * s_without_first
-    if total.denominator != 1:
-        raise AssertionError(f"three-run closed form produced non-integer {total}")
-    return int(total)
+    total += 12 * k * (k - 1) * s_with_first
+    total += 6 * k * k * s_without_first
+    return _exact_quotient(total, 12, "three-run")
 
 
 def count_max_runs_k2(n: int) -> int:
@@ -182,12 +185,18 @@ def count_max_runs_k2(n: int) -> int:
         raise DomainError(f"need n >= 1, got {n}")
     m = (n - 1) // 3
     if n % 3 in (1, 2):
-        value = Fraction(factorial(3 * m + 1), factorial(m) * 3**m)
-    else:
-        value = Fraction(9 * m + 10, 4) * Fraction(factorial(3 * m + 2), factorial(m) * 3**m)
-    if value.denominator != 1:
-        raise AssertionError(f"maximum-run closed form produced non-integer {value}")
-    return int(value)
+        return _exact_quotient(factorial(3 * m + 1), factorial(m) * 3**m, "maximum-run")
+    return _exact_quotient(
+        (9 * m + 10) * factorial(3 * m + 2), 4 * factorial(m) * 3**m, "maximum-run"
+    )
+
+
+def _exact_quotient(num: int, den: int, form: str) -> int:
+    """num / den, which a closed form guarantees is an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError(f"{form} closed form produced non-integer {num}/{den}")
+    return q
 
 
 def max_runs_bound(n: int, k: int) -> int:

@@ -33,7 +33,6 @@ still hits on most blocks (99.8 % over GCP_2(10)).
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -180,6 +179,8 @@ def parse_partition(text: str, k: int) -> ColoredPartition:
 
 def partition_from_json(text: str) -> ColoredPartition:
     """Parse `to_json`'s format; every number must be a JSON integer."""
+    import json  # local import: only JSON input needs it
+
     obj = json.loads(text)
     if type(obj) is not dict:
         raise MalformedPartitionError("expected a JSON object with keys 'n', 'k', 'blocks'")

@@ -284,7 +284,7 @@ def _check_numeric_series(state: _State) -> str:
             approx, rounded = counting.count_flattened_series_approx(n, k, 128)
             _expect(rounded == exact, f"series approx rounds to {rounded}, exact {exact}")
             _expect(
-                abs(approx - exact) < 1e-6 * exact,
+                abs(approx - exact) * 10**6 < exact,
                 f"relative error too large at n={n}, k={k}",
             )
     return "series evaluation rounds to the exact count for k<=4, n<=15"

@@ -31,7 +31,6 @@ indexed by letter, so it allocates nothing per value.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .errors import MalformedWordError, NotStirlingError
@@ -143,6 +142,8 @@ def parse_word(text: str, multiplicity: int) -> StirlingWord:
 
 def word_from_json(text: str) -> StirlingWord:
     """Parse `to_json`'s format; every number must be a JSON integer."""
+    import json  # local import: only JSON input needs it
+
     obj = json.loads(text)
     if type(obj) is not dict:
         raise MalformedWordError(

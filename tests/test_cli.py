@@ -532,14 +532,26 @@ def test_cli_import_does_not_load_mpmath():
     assert done.stdout == "[]\n"
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    # together about half of a cold start, and tempfile (with random) is the
-    # next largest piece; -S keeps site's .pth imports out.  shutil is not
-    # checked: argparse's help formatter loads it.
+def _loaded_by_cold_start(modules):
+    """Which of `modules` a fresh `import flatstir.cli; build_parser()` loads;
+    -S keeps site's .pth imports out."""
     code = ("import sys, flatstir.cli; flatstir.cli.build_parser(); "
-            "print([m for m in ('dataclasses', 'inspect', 'tempfile', 'random') "
-            "if m in sys.modules])")
+            f"print([m for m in {modules!r} if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # together about half of a cold start, and tempfile (with random) is the
+    # next largest piece.  shutil is not checked: argparse's help formatter
+    # loads it.
+    assert _loaded_by_cold_start(("dataclasses", "inspect", "tempfile", "random")) == "[]\n"
+
+
+def test_cli_import_loads_no_fractions_json_or_verify():
+    # fractions (with decimal and numbers) and json are a third of a cold start
+    # and only some commands use them; verify is loaded by its command alone
+    modules = ("fractions", "decimal", "numbers", "json", "flatstir.verify")
+    assert _loaded_by_cold_start(modules) == "[]\n"

@@ -17,6 +17,7 @@ from flatstir import (
     count_runs_2,
     count_runs_3,
     count_table,
+    descent_egf,
     egf_flattened,
     max_runs_bound,
     run_distribution_bruteforce,
@@ -236,6 +237,22 @@ class TestRunCounts:
             row = run_distribution_bruteforce(n, 2).run_refined
             assert len(row) == max_runs_bound(n, 2)  # the bound is attained
             assert count_max_runs_k2(n) == row[-1]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_two_and_three_runs_vs_descent_egf(self, k):
+        # runs = descents + 1: entry n-1 of the descent EGF is the run refinement
+        egf = descent_egf(k, 30)
+        for n in range(1, 32):
+            row = egf.coeffs[n - 1]
+            assert count_runs_2(n, k) == (row[1] if len(row) >= 2 else 0), n
+            assert count_runs_3(n, k) == (row[2] if len(row) >= 3 else 0), n
+
+    def test_max_runs_vs_descent_egf(self):
+        egf = descent_egf(2, 59)
+        for n in range(1, 61):
+            row = egf.coeffs[n - 1]
+            assert len(row) == max_runs_bound(n, 2)
+            assert count_max_runs_k2(n) == row[-1], n
 
     def test_bound_examples(self):
         assert max_runs_bound(6, 2) == 4
