@@ -45,9 +45,8 @@ from .errors import (
     NotFlattenedError,
     NotStirlingError,
     PartitionRuleError,
-    SequenceUnavailableError,
 )
-from .oeis import BFile, CrossCheckReport, cross_check, fetch_bfile
+from .oeis import CrossCheckReport, cross_check
 from .partitions import (
     ColoredPartition,
     block_descent_count,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentError",
-    "BFile",
     "BFileParseError",
     "BudgetExceededError",
     "ColoredPartition",
@@ -93,7 +91,6 @@ __all__ = [
     "NotFlattenedError",
     "NotStirlingError",
     "PartitionRuleError",
-    "SequenceUnavailableError",
     "StirlingWord",
     "WordStats",
     "bell_number",
@@ -111,7 +108,6 @@ __all__ = [
     "descent_polynomial_bruteforce",
     "egf_flattened",
     "extract_descent_polynomial",
-    "fetch_bfile",
     "gen_flattened",
     "gen_gcp",
     "gen_stirling",

@@ -2,7 +2,7 @@
 
 All results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification mismatch or series term cap hit, 2 usage error, 3 budget
-exceeded or out of memory, 4 network or sequence data unavailable.
+exceeded or out of memory, 4 a fetched b-file or pin that is unusable.
 
 A standard-library module that only some commands use (`fractions`,
 `decimal`, `json`) is imported where it is used, and so is `verify`, which
@@ -28,7 +28,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     FlatstirError,
-    SequenceUnavailableError,
 )
 from .partitions import parse_partition, partition_from_json
 from .words import parse_word, word_from_json
@@ -64,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("budget", exc, EXIT_RESOURCE)
     except MemoryError as exc:
         return _fail("resource", str(exc) or "out of memory", EXIT_RESOURCE)
-    except (SequenceUnavailableError, AlignmentError, BFileParseError) as exc:
+    except (AlignmentError, BFileParseError) as exc:
         return _fail("network", exc, EXIT_NETWORK)
     except ConvergenceError as exc:
         # the series route hit its term cap: no certified answer
@@ -282,9 +281,13 @@ def cmd_bijection(args: argparse.Namespace, cfg: Config) -> int:
     as_json = args.format == "json"
     if args.direction == "forward":
         p = partition_from_json(payload) if as_json else parse_partition(payload, args.k)
+        if p.k != args.k:  # JSON carries its own k
+            raise DomainError(f"--k is {args.k}, but the JSON partition's k is {p.k}")
         out = bijection.phi(p)
     else:
         w = word_from_json(payload) if as_json else parse_word(payload, args.k)
+        if w.multiplicity != args.k:
+            raise DomainError(f"--k is {args.k}, but the JSON multiplicity is {w.multiplicity}")
         out = bijection.phi_inverse(w)
     print(out.to_json() if as_json else out.to_text())
     return EXIT_OK

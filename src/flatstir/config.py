@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Mapping
 
 from .counting import DEFAULT_BUDGET
 from .errors import FlatstirError
@@ -25,17 +26,17 @@ class ConfigError(FlatstirError, ValueError):
 
 
 class Config:
-    def __init__(self):
+    def __init__(self, env: Mapping[str, str] = os.environ):
         self.budget: int = DEFAULT_BUDGET
         self.truncation_order: int = 32
         self.oeis_timeout: float = DEFAULT_TIMEOUT
-        self.cache_dir: str = default_cache_dir()
+        self.cache_dir: str = default_cache_dir(env)
 
 
-def load_config(path: str | None = None, env: dict[str, str] | None = None) -> Config:
+def load_config(path: str | None = None, env: Mapping[str, str] | None = None) -> Config:
     """Resolve environment and file layers; flags are applied by the CLI."""
     env = os.environ if env is None else env
-    cfg = Config()
+    cfg = Config(env)
     file_path = path or env.get(ENV_PREFIX + "CONFIG")
     if file_path is None:
         default_path = os.path.join(

@@ -49,9 +49,5 @@ class BFileParseError(FlatstirError, ValueError):
     """A b-file line could not be parsed; message carries the line number."""
 
 
-class SequenceUnavailableError(FlatstirError, RuntimeError):
-    """No network, no cache and no embedded prefix for a sequence id."""
-
-
 class AlignmentError(FlatstirError, RuntimeError):
     """Computed terms could not be aligned with the fetched sequence prefix."""

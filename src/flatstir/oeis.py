@@ -1,51 +1,40 @@
 """Cross-checks of computed counts against published integer sequences.
 
 The three sequences tied to k = 2, 3, 4 are fetched as b-files (plain
-text, "index value" per line, '#' comments).  Fetches cache verbatim bytes
-on disk (atomic write) and degrade gracefully: network, then cache, then
-an embedded prefix computed by the Stirling-number identity (the check
-itself uses the recurrence), so the offline path never relies on unverified
-third-party data and still compares two different derivations.
+text, "index value" per line, '#' comments) by one path: the network,
+whose verbatim bytes are cached on disk (atomic write), then the cache.
+When neither has the data, the check compares against an embedded prefix
+computed by the Stirling-number identity (the check itself uses the
+recurrence), so the offline path never relies on unverified third-party
+data and still compares two different derivations.
 
-The index offset of each sequence is not assumed: the first three computed
+The index offset of fetched data is not assumed: the first three computed
 terms are located inside the fetched prefix and the resulting shift is
 pinned in a small file next to the cache.  A pinned shift that stops
 matching is surfaced as an alignment error, never silently re-guessed.
+The embedded prefix is aligned by construction: shift 0, no pin.
 """
 
 from __future__ import annotations
 
 import os
-import re
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from .counting import CountContext, count_flattened_identity, count_flattened_recurrence
-from .errors import AlignmentError, BFileParseError, DomainError, SequenceUnavailableError
+from .errors import AlignmentError, BFileParseError, DomainError
 
 SEQUENCE_BY_K = {2: "A007405", 3: "A355164", 4: "A355167"}
-_ID_PATTERN = re.compile(r"\AA\d{6}\Z")
 _EMBEDDED_TERMS = 10
 DEFAULT_TIMEOUT = 10.0
 
 
-def default_cache_dir() -> str:
-    env = os.environ.get("FLATSTIR_CACHE_DIR")
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME", os.path.join(os.path.expanduser("~"), ".cache"))
+def default_cache_dir(env: Mapping[str, str] = os.environ) -> str:
+    cache_dir = env.get("FLATSTIR_CACHE_DIR")
+    if cache_dir:
+        return cache_dir
+    base = env.get("XDG_CACHE_HOME", os.path.join(os.path.expanduser("~"), ".cache"))
     return os.path.join(base, "flatstir", "oeis")
-
-
-class BFile(NamedTuple):
-    """Parsed b-file rows plus where they came from."""
-
-    sequence_id: str
-    source: str  # "network" | "cache" | "embedded"
-    terms: tuple[tuple[int, int], ...]
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.terms)
 
 
 def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
@@ -67,49 +56,29 @@ def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(rows)
 
 
-def fetch_bfile(
-    sequence_id: str,
-    *,
-    cache_dir: str | None = None,
-    offline: bool = False,
-    timeout: float = DEFAULT_TIMEOUT,
-) -> BFile:
-    """Fetch a b-file with cache and embedded-prefix fallback."""
-    if not _ID_PATTERN.match(sequence_id):
-        raise DomainError(f"bad sequence id {sequence_id!r}: expected 'A' plus six digits")
-    cache_dir = cache_dir or default_cache_dir()
+def _fetch(
+    sequence_id: str, cache_dir: str, offline: bool, timeout: float
+) -> tuple[str, tuple[int, ...]] | None:
+    """(source, values) of a b-file from the network, which writes the cache,
+    or else from the cache; None when neither has the data."""
     cache_path = os.path.join(cache_dir, f"b{sequence_id[1:]}.txt")
-
     if not offline:
-        text = _download(sequence_id, timeout)
-        if text is not None:
-            terms = parse_bfile(text)
-            _atomic_write(cache_path, text.encode())
-            return BFile(sequence_id, "network", terms)
+        import urllib.error  # local import: only a fetch pays for the HTTP stack
+        import urllib.request
 
+        url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
+        for _ in range(2):  # one retry
+            try:
+                with urllib.request.urlopen(url, timeout=timeout) as resp:
+                    text = resp.read().decode("utf-8")
+            except (urllib.error.URLError, OSError, ValueError):
+                continue
+            values = tuple(v for _, v in parse_bfile(text))
+            _atomic_write(cache_path, text.encode())
+            return "network", values
     if os.path.exists(cache_path):
         with open(cache_path, "r", encoding="utf-8") as fh:
-            return BFile(sequence_id, "cache", parse_bfile(fh.read()))
-
-    embedded = _embedded_prefix(sequence_id)
-    if embedded is not None:
-        return BFile(sequence_id, "embedded", embedded)
-    raise SequenceUnavailableError(
-        f"{sequence_id}: no network, no cache at {cache_path}, and no embedded prefix"
-    )
-
-
-def _download(sequence_id: str, timeout: float) -> str | None:
-    import urllib.error  # local import: only a fetch pays for the HTTP stack
-    import urllib.request
-
-    url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
-    for _ in range(2):  # one retry
-        try:
-            with urllib.request.urlopen(url, timeout=timeout) as resp:
-                return resp.read().decode("utf-8")
-        except (urllib.error.URLError, OSError, ValueError):
-            continue
+            return "cache", tuple(v for _, v in parse_bfile(fh.read()))
     return None
 
 
@@ -126,13 +95,6 @@ def _atomic_write(path: str, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _embedded_prefix(sequence_id: str) -> tuple[tuple[int, int], ...] | None:
-    for k, seq in SEQUENCE_BY_K.items():
-        if seq == sequence_id:
-            return tuple((i, count_flattened_identity(i + 1, k)) for i in range(_EMBEDDED_TERMS))
-    return None
 
 
 class CheckRow(NamedTuple):
@@ -168,9 +130,9 @@ def cross_check(
 ) -> CrossCheckReport:
     """Compare computed counts of order n+1, n = 0..max_n, with a sequence.
 
-    Only k in {2, 3, 4} carries a published correspondence.  Alignment is
-    data-driven (see module docstring); every comparison is exact integer
-    equality.
+    Only k in {2, 3, 4} carries a published correspondence.  Fetched data
+    is aligned and pinned, embedded data is compared at shift 0 (see module
+    docstring); every comparison is exact integer equality.
     """
     if k not in SEQUENCE_BY_K:
         raise DomainError(f"no cited sequence for k={k}; only k in {sorted(SEQUENCE_BY_K)}")
@@ -179,16 +141,21 @@ def cross_check(
     ctx = CountContext()
     sequence_id = SEQUENCE_BY_K[k]
     cache_dir = cache_dir or default_cache_dir()
-    bfile = fetch_bfile(sequence_id, cache_dir=cache_dir, offline=offline, timeout=timeout)
+    fetched = _fetch(sequence_id, cache_dir, offline, timeout)
     computed = [count_flattened_recurrence(n + 1, k, ctx) for n in range(max_n + 1)]
-    shift = _align(sequence_id, computed[:3], bfile.values, cache_dir)
+    if fetched is None:
+        source, shift = "embedded", 0
+        values = tuple(count_flattened_identity(n + 1, k) for n in range(_EMBEDDED_TERMS))
+    else:
+        source, values = fetched
+        shift = _align(sequence_id, computed[:3], values, cache_dir)
     rows = []
     for n in range(max_n + 1):
         idx = shift + n
-        expected = bfile.values[idx] if idx < len(bfile.values) else None
+        expected = values[idx] if idx < len(values) else None
         match = (computed[n] == expected) if expected is not None else None
         rows.append(CheckRow(n, computed[n], expected, match))
-    return CrossCheckReport(k, sequence_id, bfile.source, shift, tuple(rows))
+    return CrossCheckReport(k, sequence_id, source, shift, tuple(rows))
 
 
 def _align(
@@ -199,7 +166,8 @@ def _align(
     The resulting shift is pinned under the cache directory; a pin that no
     longer matches raises instead of re-guessing.
     """
-    pins = _read_pins(cache_dir)
+    path = os.path.join(cache_dir, "offsets.conf")
+    pins = _read_pins(path)
     if sequence_id in pins:
         shift = pins[sequence_id]
         if tuple(values[shift : shift + len(head)]) != tuple(head):
@@ -210,19 +178,15 @@ def _align(
     for shift in range(len(values) - len(head) + 1):
         if tuple(values[shift : shift + len(head)]) == tuple(head):
             pins[sequence_id] = shift
-            _write_pins(cache_dir, pins)
+            body = "".join(f"{key}={value}\n" for key, value in sorted(pins.items()))
+            _atomic_write(path, body.encode())
             return shift
     raise AlignmentError(
         f"{sequence_id}: computed terms {head} not found in the fetched prefix"
     )
 
 
-def _pins_path(cache_dir: str) -> str:
-    return os.path.join(cache_dir, "offsets.conf")
-
-
-def _read_pins(cache_dir: str) -> dict[str, int]:
-    path = _pins_path(cache_dir)
+def _read_pins(path: str) -> dict[str, int]:
     if not os.path.exists(path):
         return {}
     pins = {}
@@ -240,7 +204,3 @@ def _read_pins(cache_dir: str) -> dict[str, int]:
                 ) from None
     return pins
 
-
-def _write_pins(cache_dir: str, pins: dict[str, int]) -> None:
-    body = "".join(f"{key}={value}\n" for key, value in sorted(pins.items()))
-    _atomic_write(_pins_path(cache_dir), body.encode())

@@ -8,6 +8,7 @@ import pytest
 
 from flatstir import gen_flattened, gen_gcp
 from flatstir.cli import main
+from flatstir.config import load_config
 from flatstir.verify import REFERENCE_RUNS_K2
 
 EXAMPLE_PARTITION = "1_1 2_3 4_2 6_3 | 3_1 | 5_1"
@@ -173,6 +174,26 @@ class TestBijection:
         assert code == 2
         assert out == ""
         assert err == "error: usage: JSON partition lacks 'n', 'k', 'blocks'\n"
+
+    def test_json_partition_k_must_equal_the_flag(self, capsys, monkeypatch):
+        payload = '{"n": 2, "k": 2, "blocks": [[[1, 1]], [[2, 1]]]}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, out, err = run(
+            capsys, "bijection", "--direction", "forward", "--k", "3", "--format", "json"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: --k is 3, but the JSON partition's k is 2\n"
+
+    def test_json_word_multiplicity_must_equal_the_flag(self, capsys, monkeypatch):
+        payload = '{"letters": [1, 1, 2, 2], "order": 2, "multiplicity": 2}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, out, err = run(
+            capsys, "bijection", "--direction", "inverse", "--k", "4", "--format", "json"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: --k is 4, but the JSON multiplicity is 2\n"
 
     def test_json_array_sent_inverse_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("[1]"))
@@ -364,12 +385,31 @@ class TestOeis:
 
     def test_corrupt_pin_names_file_and_line(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        # pins are read only to align fetched data, here a cached b-file
+        cached = "\n".join(f"{i} {v}" for i, v in enumerate([1, 2, 6, 24, 116, 648]))
+        (tmp_path / "b007405.txt").write_text(cached + "\n")
         pins = tmp_path / "offsets.conf"
         pins.write_text("# pinned offsets\nA007405=abc\n")
         code, out, err = run(capsys, "oeis", "--k", "2", "--offline")
         assert code == 4
         assert out == ""
         assert f"{pins}:2" in err
+
+    def test_offline_run_pins_nothing(self, capsys, tmp_path, monkeypatch):
+        # an embedded run used to pin shift 0, and a later cached b-file whose
+        # data start one term earlier then failed with "pinned offset 0"
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        code, out, _ = run(capsys, "oeis", "--k", "2", "--offline")
+        assert code == 0
+        assert "source: embedded, shift 0" in out
+        assert list(tmp_path.iterdir()) == []
+        values = [1, 1, 2, 6, 24, 116, 648, 4088, 28640, 219920, 1832224, 16430176]
+        cached = "\n".join(f"{i} {v}" for i, v in enumerate(values, start=-1))
+        (tmp_path / "b007405.txt").write_text(cached + "\n")
+        code, out, err = run(capsys, "oeis", "--k", "2", "--offline")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "A007405 (source: cache, shift 1)"
+        assert (tmp_path / "offsets.conf").read_text() == "A007405=1\n"
 
 
 class TestConjecture:
@@ -416,6 +456,16 @@ class TestConfig:
             capsys, "enumerate", "--n", "5", "--k", "2", "--budget", "1000"
         )
         assert code == 0
+
+    def test_cache_dir_default_comes_from_the_given_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", "/from/os/environ")
+        monkeypatch.setenv("HOME", str(tmp_path))
+        default = os.path.join(str(tmp_path), ".cache", "flatstir", "oeis")
+        assert load_config(env={}).cache_dir == default
+        xdg = load_config(env={"XDG_CACHE_HOME": "/xdg/env"}).cache_dir
+        assert xdg == os.path.join("/xdg/env", "flatstir", "oeis")
+        assert load_config(env={"FLATSTIR_CACHE_DIR": "/from/env"}).cache_dir == "/from/env"
+        assert load_config().cache_dir == "/from/os/environ"
 
     def test_bad_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "flatstir.conf"

@@ -7,10 +7,8 @@ from flatstir import (
     AlignmentError,
     BFileParseError,
     DomainError,
-    SequenceUnavailableError,
     count_flattened_recurrence,
     cross_check,
-    fetch_bfile,
 )
 from flatstir.oeis import parse_bfile
 
@@ -59,23 +57,15 @@ class TestParse:
 
 
 class TestFetch:
-    def test_rejects_bad_ids(self, tmp_path):
-        for bad in ("A00740", "A0074055", "B007405", "007405"):
-            with pytest.raises(DomainError):
-                fetch_bfile(bad, cache_dir=str(tmp_path))
+    """Network, then cache, then embedded terms, as `cross_check` reports them."""
 
     def test_offline_embedded(self, tmp_path, ctx):
-        got = fetch_bfile("A007405", cache_dir=str(tmp_path), offline=True)
-        assert got.source == "embedded"
-        assert len(got.terms) == 10
-        assert got.values == tuple(
-            count_flattened_recurrence(i + 1, 2, ctx) for i in range(10)
-        )
-        assert got.values[:6] == (1, 2, 6, 24, 116, 648)
-
-    def test_offline_unknown_sequence(self, tmp_path):
-        with pytest.raises(SequenceUnavailableError):
-            fetch_bfile("A000001", cache_dir=str(tmp_path), offline=True)
+        report = cross_check(2, 9, cache_dir=str(tmp_path), offline=True)
+        assert report.source == "embedded"
+        assert report.compared == 10
+        expected = tuple(r.expected for r in report.rows)
+        assert expected == tuple(count_flattened_recurrence(i + 1, 2, ctx) for i in range(10))
+        assert expected[:6] == (1, 2, 6, 24, 116, 648)
 
     def test_network_then_cache_round_trip(self, tmp_path, monkeypatch):
         text = fake_bfile_text(K2_PREFIX)
@@ -86,15 +76,17 @@ class TestFetch:
             return _FakeResponse(text.encode())
 
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-        got = fetch_bfile("A007405", cache_dir=str(tmp_path))
+        got = cross_check(2, 9, cache_dir=str(tmp_path))
         assert got.source == "network"
+        assert got.all_match and got.compared == 10
         assert "b007405.txt" in calls[0]
         cache_file = tmp_path / "b007405.txt"
         assert cache_file.read_text() == text  # verbatim bytes
 
-        offline = fetch_bfile("A007405", cache_dir=str(tmp_path), offline=True)
+        offline = cross_check(2, 9, cache_dir=str(tmp_path), offline=True)
         assert offline.source == "cache"
-        assert offline.terms == got.terms
+        assert offline.rows == got.rows
+        assert len(calls) == 1
 
     def test_network_failure_falls_back_to_cache(self, tmp_path, monkeypatch):
         (tmp_path / "b007405.txt").write_text(fake_bfile_text(K2_PREFIX))
@@ -103,17 +95,18 @@ class TestFetch:
             raise urllib.error.URLError("no route to host")
 
         monkeypatch.setattr("urllib.request.urlopen", broken_urlopen)
-        got = fetch_bfile("A007405", cache_dir=str(tmp_path))
+        got = cross_check(2, 9, cache_dir=str(tmp_path))
         assert got.source == "cache"
-        assert got.values[:4] == (1, 2, 6, 24)
+        assert [r.expected for r in got.rows[:4]] == [1, 2, 6, 24]
 
     def test_network_failure_falls_back_to_embedded(self, tmp_path, monkeypatch):
         def broken_urlopen(url, timeout=None):
             raise urllib.error.URLError("offline")
 
         monkeypatch.setattr("urllib.request.urlopen", broken_urlopen)
-        got = fetch_bfile("A007405", cache_dir=str(tmp_path))
+        got = cross_check(2, 9, cache_dir=str(tmp_path))
         assert got.source == "embedded"
+        assert got.all_match
 
 
 class TestCrossCheck:
@@ -188,3 +181,16 @@ class TestCrossCheck:
     def test_max_n_too_small_for_alignment(self, tmp_path):
         with pytest.raises(DomainError):
             cross_check(2, 1, offline=True, cache_dir=str(tmp_path))
+
+    def test_offline_embedded_run_leaves_cache_dir_empty(self, tmp_path):
+        for k in (2, 3, 4):
+            assert cross_check(k, 9, offline=True, cache_dir=str(tmp_path)).source == "embedded"
+        assert list(tmp_path.iterdir()) == []  # embedded terms are neither aligned nor pinned
+
+    @pytest.mark.parametrize("pins", ["A007405=3\n", "A007405=abc\n"], ids=["stale", "corrupt"])
+    def test_pin_file_ignored_for_embedded_terms(self, tmp_path, pins):
+        (tmp_path / "offsets.conf").write_text(pins)
+        report = cross_check(2, 9, offline=True, cache_dir=str(tmp_path))
+        assert report.source == "embedded" and report.shift == 0
+        assert report.all_match
+        assert (tmp_path / "offsets.conf").read_text() == pins
