@@ -2,7 +2,8 @@
 
 All results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification mismatch or series term cap hit, 2 usage error, 3 budget
-exceeded or out of memory, 4 a fetched b-file or pin that is unusable.
+exceeded or out of memory, 4 unusable sequence data: a fetched b-file or a
+pin (`error: data:`).
 
 A standard-library module that only some commands use (`fractions`,
 `decimal`, `json`) is imported where it is used, and so is `verify`, which
@@ -39,9 +40,14 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-EXIT_NETWORK = 4
+EXIT_DATA = 4
 
 ENUMERATE_CHUNK_LINES = 1024
+
+# Every integer flag's floor, in the order `main` checks them; a subcommand
+# overrides one through a `floors` default.  `--precision-bits` has its floor
+# only under the series route, which checks it.
+_FLAG_FLOORS = (("k", 1), ("budget", 0), ("order", 0), ("n", 1), ("max_n", 1), ("max_k", 1))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -51,10 +57,11 @@ def main(argv: list[str] | None = None) -> int:
     if digits:  # exact counts outgrow the default 4300-digit int-to-str limit
         sys.set_int_max_str_digits(0)
     try:
-        for flag, least in (("k", 1), ("budget", 0), ("order", 0)):  # wherever given
+        floors = getattr(args, "floors", {})
+        for flag, least in _FLAG_FLOORS:  # wherever the command has the flag
             value = getattr(args, flag, None)
             if value is not None:
-                _require_at_least(f"--{flag}", value, least)
+                _require_at_least("--" + flag.replace("_", "-"), value, floors.get(flag, least))
         cfg = load_config(args.config)
         code = args.handler(args, cfg)
         sys.stdout.flush()  # a reader that left shows up here, not at exit
@@ -64,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         return _fail("resource", str(exc) or "out of memory", EXIT_RESOURCE)
     except (AlignmentError, BFileParseError) as exc:
-        return _fail("network", exc, EXIT_NETWORK)
+        return _fail("data", exc, EXIT_DATA)
     except ConvergenceError as exc:
         # the series route hit its term cap: no certified answer
         return _fail("internal", exc, EXIT_MISMATCH)
@@ -89,6 +96,15 @@ def _print_json(payload: object) -> None:
     import json  # local import: only --format json output needs it
 
     print(json.dumps(payload))
+
+
+def _print_table(fmt: str, header: list[str], body: list[list[str]]) -> None:
+    """Rows of cells as comma-separated lines ("csv") or a markdown table."""
+    if fmt == "csv":
+        print("\n".join(",".join(cells) for cells in (header, *body)))
+    else:
+        rule = ["---"] * len(header)
+        print("\n".join("| " + " | ".join(cells) + " |" for cells in (header, rule, *body)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=9)
     p.add_argument("--offline", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=cmd_oeis)
+    # alignment uses the first three terms
+    p.set_defaults(handler=cmd_oeis, floors={"max_n": 2})
 
     p = sub.add_parser("conjecture", help="unimodality / real-rootedness evidence report")
     p.add_argument("--k", type=int, required=True)
@@ -173,9 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_at_least(flag: str, value: int, least: int = 1) -> None:
-    """Orders and k start at 1 (the default floor), truncations and budgets at
-    0; name the user's flag, not a value derived from it."""
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    """Name the user's flag, not a value derived from it."""
     if value < least:
         raise DomainError(f"{flag} must be >= {least}, got {value}")
 
@@ -188,7 +204,6 @@ def _budget(args: argparse.Namespace, cfg: Config) -> int | None:
 
 
 def cmd_enumerate(args: argparse.Namespace, cfg: Config) -> int:
-    _require_at_least("--n", args.n)
     budget = _budget(args, cfg)
     if args.kind == "partitions":
         if args.flattened:
@@ -210,7 +225,6 @@ def cmd_enumerate(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
-    _require_at_least("--n", args.n)
     if args.method == "recurrence":
         print(counting.count_flattened_recurrence(args.n, args.k))
     elif args.method == "identity":
@@ -237,7 +251,6 @@ def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
-    _require_at_least("--max-n", args.max_n)
     table = counting.count_table(args.k, args.max_n)
     if args.format == "json":
         payload = {
@@ -262,15 +275,7 @@ def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
                  str(row.total)]
         cells += [str(c) for c in row.run_refined] + [""] * (width - len(row.run_refined))
         body.append(cells)
-    if args.format == "csv":
-        print(",".join(header))
-        for cells in body:
-            print(",".join(cells))
-    else:
-        print("| " + " | ".join(header) + " |")
-        print("|" + "|".join(" --- " for _ in header) + "|")
-        for cells in body:
-            print("| " + " | ".join(cells) + " |")
+    _print_table(args.format, header, body)
     return EXIT_OK
 
 
@@ -294,7 +299,6 @@ def cmd_bijection(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_poly(args: argparse.Namespace, cfg: Config) -> int:
-    _require_at_least("--n", args.n)
     if args.method == "egf":
         egf = series.descent_egf(args.k, args.n - 1)
         poly = series.extract_descent_polynomial(egf, args.n - 1)
@@ -326,8 +330,6 @@ def cmd_egf(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     from .verify import VerifyLimits  # local import: no other command needs the module
 
-    _require_at_least("--max-n", args.max_n)
-    _require_at_least("--max-k", args.max_k)
     limits = VerifyLimits(
         max_n=args.max_n,
         max_k=args.max_k,
@@ -360,7 +362,6 @@ def run_verification(limits: VerifyLimits) -> list[CheckResult]:
 
 
 def cmd_oeis(args: argparse.Namespace, cfg: Config) -> int:
-    _require_at_least("--max-n", args.max_n, 2)  # alignment uses the first three terms
     report = oeis.cross_check(
         args.k,
         args.max_n,
@@ -374,10 +375,7 @@ def cmd_oeis(args: argparse.Namespace, cfg: Config) -> int:
             "sequence": report.sequence_id,
             "source": report.source,
             "shift": report.shift,
-            "rows": [
-                {"n": r.n, "computed": r.computed, "expected": r.expected, "match": r.match}
-                for r in report.rows
-            ],
+            "rows": [r._asdict() for r in report.rows],
             "all_match": report.all_match,
         }
         _print_json(payload)
@@ -393,26 +391,14 @@ def cmd_oeis(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_conjecture(args: argparse.Namespace, cfg: Config) -> int:
-    _require_at_least("--max-n", args.max_n)
     rows = analysis.conjecture_report(args.k, args.max_n)
     if args.format == "json":
-        payload = [
-            {
-                "n": r.n,
-                "k": r.k,
-                "coefficients": list(r.coefficients),
-                "unimodal": r.unimodal,
-                "real_rooted": r.real_rooted,
-            }
-            for r in rows
-        ]
-        _print_json(payload)
+        _print_json([r._asdict() for r in rows])
     else:
-        print("| n | k | polynomial | unimodal | real-rooted |")
-        print("| --- | --- | --- | --- | --- |")
-        for r in rows:
-            poly = series.IntPolynomial(r.coefficients).to_text()
-            print(f"| {r.n} | {r.k} | {poly} | {r.unimodal} | {r.real_rooted} |")
+        header = ["n", "k", "polynomial", "unimodal", "real-rooted"]
+        body = [[str(r.n), str(r.k), series.IntPolynomial(r.coefficients).to_text(),
+                 str(r.unimodal), str(r.real_rooted)] for r in rows]
+        _print_table(args.format, header, body)
     return EXIT_OK
 
 

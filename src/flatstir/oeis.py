@@ -197,10 +197,13 @@ def _read_pins(path: str) -> dict[str, int]:
                 continue
             key, _, value = line.partition("=")
             try:
-                pins[key.strip()] = int(value.strip())
+                offset = int(value.strip())
             except ValueError:
                 raise AlignmentError(
                     f"{path}:{lineno}: expected 'sequence=offset', got {line!r}"
                 ) from None
+            if offset < 0:  # a negative shift would index the data from its end
+                raise AlignmentError(f"{path}:{lineno}: offset must be >= 0, got {line!r}")
+            pins[key.strip()] = offset
     return pins
 

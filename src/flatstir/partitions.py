@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import MalformedPartitionError, PartitionRuleError
-from .words import _Value
+from .words import _json_fields, _Value
 
 Block = tuple[tuple[int, int], ...]  # ((element, color), ...) sorted by element
 
@@ -179,20 +179,14 @@ def parse_partition(text: str, k: int) -> ColoredPartition:
 
 def partition_from_json(text: str) -> ColoredPartition:
     """Parse `to_json`'s format; every number must be a JSON integer."""
-    import json  # local import: only JSON input needs it
+    fields = _json_fields(text, "partition", ("n", "k", "blocks"), MalformedPartitionError,
+                          _partition_fields)
+    return ColoredPartition(*fields)
 
-    obj = json.loads(text)
-    if type(obj) is not dict:
-        raise MalformedPartitionError("expected a JSON object with keys 'n', 'k', 'blocks'")
-    missing = [key for key in ("n", "k", "blocks") if key not in obj]
-    if missing:
-        raise MalformedPartitionError(f"JSON partition lacks {', '.join(map(repr, missing))}")
+
+def _partition_fields(n, k, blocks):
     try:
-        blocks = tuple(tuple((e, c) for e, c in b) for b in obj["blocks"])
+        blocks = tuple(tuple((e, c) for e, c in b) for b in blocks)
     except (TypeError, ValueError):  # not an array of arrays of pairs
         raise MalformedPartitionError("blocks must be arrays of [element, color] pairs") from None
-    n, k = obj["n"], obj["k"]
-    for v in (n, k, *(x for b in blocks for pair in b for x in pair)):
-        if type(v) is not int:  # a JSON float or a bool would pass int()
-            raise MalformedPartitionError(f"expected a JSON integer, got {json.dumps(v)}")
-    return ColoredPartition(n, k, blocks)
+    return (n, k, blocks), (n, k, *(x for b in blocks for pair in b for x in pair))

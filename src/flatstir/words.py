@@ -31,7 +31,7 @@ indexed by letter, so it allocates nothing per value.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import MalformedWordError, NotStirlingError
 
@@ -142,24 +142,33 @@ def parse_word(text: str, multiplicity: int) -> StirlingWord:
 
 def word_from_json(text: str) -> StirlingWord:
     """Parse `to_json`'s format; every number must be a JSON integer."""
+    keys = ("letters", "order", "multiplicity")
+    return StirlingWord(*_json_fields(text, "word", keys, MalformedWordError, _word_fields))
+
+
+def _word_fields(letters, order, multiplicity):
+    if type(letters) is not list:
+        raise MalformedWordError("letters must be a JSON array")
+    return (tuple(letters), order, multiplicity), (*letters, order, multiplicity)
+
+
+def _json_fields(text: str, what: str, keys: tuple[str, ...], error: type[Exception],
+                 shape: Callable[..., tuple[tuple, tuple]]) -> tuple:
+    """`shape(*values)` of the JSON object with `keys`: the constructor's arguments
+    and the numbers in them, each of which must be a JSON integer."""
     import json  # local import: only JSON input needs it
 
     obj = json.loads(text)
     if type(obj) is not dict:
-        raise MalformedWordError(
-            "expected a JSON object with keys 'letters', 'order', 'multiplicity'"
-        )
-    missing = [key for key in ("letters", "order", "multiplicity") if key not in obj]
+        raise error(f"expected a JSON object with keys {', '.join(map(repr, keys))}")
+    missing = [key for key in keys if key not in obj]
     if missing:
-        raise MalformedWordError(f"JSON word lacks {', '.join(map(repr, missing))}")
-    if type(obj["letters"]) is not list:
-        raise MalformedWordError("letters must be a JSON array")
-    letters = tuple(obj["letters"])
-    order, multiplicity = obj["order"], obj["multiplicity"]
-    for v in (*letters, order, multiplicity):
+        raise error(f"JSON {what} lacks {', '.join(map(repr, missing))}")
+    args, numbers = shape(*map(obj.get, keys))
+    for v in numbers:
         if type(v) is not int:  # a JSON float or a bool compares equal to an int
-            raise MalformedWordError(f"expected a JSON integer, got {json.dumps(v)}")
-    return StirlingWord(letters, order, multiplicity)
+            raise error(f"expected a JSON integer, got {json.dumps(v)}")
+    return args
 
 
 def is_valid_stirling(w: StirlingWord) -> bool:

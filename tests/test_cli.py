@@ -393,7 +393,28 @@ class TestOeis:
         code, out, err = run(capsys, "oeis", "--k", "2", "--offline")
         assert code == 4
         assert out == ""
-        assert f"{pins}:2" in err
+        # unusable data, found with no network involved
+        assert err == f"error: data: {pins}:2: expected 'sequence=offset', got 'A007405=abc'\n"
+
+    def test_negative_pin_names_file_and_line(self, capsys, tmp_path, monkeypatch):
+        # a negative shift used to index the b-file from its end: "shift -11",
+        # then n = 11 and 12 reported as MISMATCH against the wrapped-around data
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        values = [1, 1, 2, 6, 24, 116, 648, 4088, 28640, 219920, 1832224, 16430176]
+        cached = "\n".join(f"{i} {v}" for i, v in enumerate(values, start=-1))
+        (tmp_path / "b007405.txt").write_text(cached + "\n")
+        pins = tmp_path / "offsets.conf"
+        pins.write_text("A007405=-11\n")
+        code, out, err = run(capsys, "oeis", "--k", "2", "--offline", "--max-n", "12")
+        assert (code, out) == (4, "")
+        assert err == f"error: data: {pins}:1: offset must be >= 0, got 'A007405=-11'\n"
+
+    def test_corrupt_cached_bfile_is_a_data_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        (tmp_path / "b007405.txt").write_text("0 1\n1 two\n")
+        code, out, err = run(capsys, "oeis", "--k", "2", "--offline")
+        assert (code, out) == (4, "")
+        assert err == "error: data: line 2: non-integer field in '1 two'\n"
 
     def test_offline_run_pins_nothing(self, capsys, tmp_path, monkeypatch):
         # an embedded run used to pin shift 0, and a later cached b-file whose
@@ -431,6 +452,70 @@ class TestConjecture:
         assert err == "error: usage: --max-n must be >= 1, got 0\n"
 
 
+class TestOutputBytes:
+    # the exact stdout of each format the CLI writes itself; the other tests
+    # parse these outputs or look for substrings
+    TABLE_MD = (
+        "| n | words | flattened | runs=1 | runs=2 | runs=3 |\n"
+        "| --- | --- | --- | --- | --- | --- |\n"
+        "| 1 | 1 | 1 | 1 |  |  |\n"
+        "| 2 | 3 | 2 | 1 | 1 |  |\n"
+        "| 3 | 15 | 6 | 1 | 5 |  |\n"
+        "| 4 | 105 | 24 | 1 | 15 | 8 |\n"
+    )
+    TABLE_CSV = (
+        "n,words,flattened,runs=1,runs=2,runs=3\n"
+        "1,1,1,1,,\n"
+        "2,3,2,1,1,\n"
+        "3,15,6,1,5,\n"
+        "4,105,24,1,15,8\n"
+    )
+    TABLE_JSON = (
+        '{"k": 2, "rows": [{"n": 1, "stirling_words": 1, "total": 1, "runs": [1]}, '
+        '{"n": 2, "stirling_words": 3, "total": 2, "runs": [1, 1]}, '
+        '{"n": 3, "stirling_words": 15, "total": 6, "runs": [1, 5]}, '
+        '{"n": 4, "stirling_words": 105, "total": 24, "runs": [1, 15, 8]}]}\n'
+    )
+    CONJECTURE_MD = (
+        "| n | k | polynomial | unimodal | real-rooted |\n"
+        "| --- | --- | --- | --- | --- |\n"
+        "| 1 | 3 | 1 | True | True |\n"
+        "| 2 | 3 | 1 + 2*t | True | True |\n"
+        "| 3 | 3 | 1 + 9*t + 2*t^2 | True | True |\n"
+        "| 4 | 3 | 1 + 26*t + 36*t^2 | True | True |\n"
+        "| 5 | 3 | 1 + 63*t + 251*t^2 + 90*t^3 | True | True |\n"
+    )
+    CONJECTURE_JSON = "[" + ", ".join(
+        f'{{"n": {n}, "k": 3, "coefficients": {c}, "unimodal": true, "real_rooted": true}}'
+        for n, c in enumerate(["[1]", "[1, 2]", "[1, 9, 2]", "[1, 26, 36]", "[1, 63, 251, 90]"],
+                              start=1)
+    ) + "]\n"
+    A355164 = [1, 3, 12, 63, 405, 3024, 25515, 239355, 2465478, 27600669]
+    OEIS_TEXT = "A355164 (source: embedded, shift 0)\n" + "".join(
+        f"n={n} computed={v} expected={v} ok\n" for n, v in enumerate(A355164)
+    )
+    OEIS_JSON = (
+        '{"k": 3, "sequence": "A355164", "source": "embedded", "shift": 0, "rows": ['
+        + ", ".join(f'{{"n": {n}, "computed": {v}, "expected": {v}, "match": true}}'
+                    for n, v in enumerate(A355164))
+        + '], "all_match": true}\n'
+    )
+    CASES = [
+        ("table --k 2 --max-n 4", TABLE_MD),
+        ("table --k 2 --max-n 4 --format csv", TABLE_CSV),
+        ("table --k 2 --max-n 4 --format json", TABLE_JSON),
+        ("conjecture --k 3 --max-n 5", CONJECTURE_MD),
+        ("conjecture --k 3 --max-n 5 --format json", CONJECTURE_JSON),
+        ("oeis --k 3 --offline", OEIS_TEXT),
+        ("oeis --k 3 --offline --format json", OEIS_JSON),
+    ]
+
+    @pytest.mark.parametrize("argv,expected", CASES, ids=[argv for argv, _ in CASES])
+    def test_stdout_bytes(self, capsys, tmp_path, monkeypatch, argv, expected):
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        assert run(capsys, *argv.split()) == (0, expected, "")
+
+
 class TestConfig:
     def test_config_file_sets_budget(self, capsys, tmp_path):
         cfg = tmp_path / "flatstir.conf"
@@ -466,6 +551,11 @@ class TestConfig:
         assert xdg == os.path.join("/xdg/env", "flatstir", "oeis")
         assert load_config(env={"FLATSTIR_CACHE_DIR": "/from/env"}).cache_dir == "/from/env"
         assert load_config().cache_dir == "/from/os/environ"
+
+    def test_flag_floors_are_checked_before_the_config(self, capsys, monkeypatch):
+        monkeypatch.setenv("FLATSTIR_BUDGET", "-1")
+        for argv, flag in ((["egf", "--k", "0"], "--k"), (["count", "--n", "0", "--k", "2"], "--n")):
+            assert run(capsys, *argv) == (2, "", f"error: usage: {flag} must be >= 1, got 0\n")
 
     def test_bad_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "flatstir.conf"
