@@ -5,9 +5,12 @@ All results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 exceeded or out of memory, 4 unusable sequence data: a fetched b-file or a
 pin (`error: data:`).
 
-A standard-library module that only some commands use (`fractions`,
-`decimal`, `json`) is imported where it is used, and so is `verify`, which
-only its own command needs; the other commands start without them.
+A module that only some commands use is imported where it is used: the
+standard library's `fractions`, `decimal` and `json`, `config`, and each
+of flatstir's route modules.  Handlers call a route through its module
+attribute, and `bijection` parses through `cli.parse_word` and
+`cli.parse_partition`, because the benchmark's tracer wraps those names;
+so `words` and `partitions` are the only route modules loaded up front.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from math import factorial
 from operator import methodcaller
 from typing import TYPE_CHECKING
 
-from . import analysis, bijection, counting, enumeration, oeis, series
-from .config import Config, ConfigError, load_config
 from .errors import (
     AlignmentError,
     BFileParseError,
@@ -34,6 +35,7 @@ from .partitions import parse_partition, partition_from_json
 from .words import parse_word, word_from_json
 
 if TYPE_CHECKING:
+    from .config import Config
     from .verify import CheckResult, VerifyLimits
 
 EXIT_OK = 0
@@ -62,6 +64,8 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, flag, None)
             if value is not None:
                 _require_at_least("--" + flag.replace("_", "-"), value, floors.get(flag, least))
+        from .config import load_config
+
         cfg = load_config(args.config)
         code = args.handler(args, cfg)
         sys.stdout.flush()  # a reader that left shows up here, not at exit
@@ -75,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         # the series route hit its term cap: no certified answer
         return _fail("internal", exc, EXIT_MISMATCH)
-    except (ConfigError, FlatstirError, ValueError) as exc:
+    except (FlatstirError, ValueError) as exc:  # a ConfigError is both
         return _fail("usage", exc, EXIT_USAGE)
     except BrokenPipeError:
         # the reader has left: what is still buffered goes to the null device,
@@ -204,6 +208,8 @@ def _budget(args: argparse.Namespace, cfg: Config) -> int | None:
 
 
 def cmd_enumerate(args: argparse.Namespace, cfg: Config) -> int:
+    from . import enumeration
+
     budget = _budget(args, cfg)
     if args.kind == "partitions":
         if args.flattened:
@@ -225,11 +231,15 @@ def cmd_enumerate(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
+    from . import counting
+
     if args.method == "recurrence":
         print(counting.count_flattened_recurrence(args.n, args.k))
     elif args.method == "identity":
         print(counting.count_flattened_identity(args.n, args.k))
     elif args.method == "egf":
+        from . import series
+
         egf = series.egf_flattened(args.k, args.n - 1)
         print(egf.egf_coefficient(args.n - 1))
     elif args.method == "series-approx":
@@ -243,6 +253,8 @@ def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
         digits = decimal.Context(prec=30)
         print(f"{digits.divide(approx.numerator, approx.denominator):.30g}", file=sys.stderr)
     else:
+        from . import enumeration
+
         total = sum(
             1 for _ in enumeration.gen_flattened(args.n, args.k, budget=_budget(args, cfg))
         )
@@ -251,6 +263,8 @@ def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
+    from . import counting
+
     table = counting.count_table(args.k, args.max_n)
     if args.format == "json":
         payload = {
@@ -258,7 +272,7 @@ def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
             "rows": [
                 {
                     "n": row.n,
-                    "stirling_words": enumeration.predicted_stirling_count(row.n, table.k),
+                    "stirling_words": counting.predicted_stirling_count(row.n, table.k),
                     "total": row.total,
                     "runs": list(row.run_refined),
                 }
@@ -271,7 +285,7 @@ def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
     header = ["n", "words", "flattened"] + [f"runs={s}" for s in range(1, width + 1)]
     body = []
     for row in table.rows:
-        cells = [str(row.n), str(enumeration.predicted_stirling_count(row.n, table.k)),
+        cells = [str(row.n), str(counting.predicted_stirling_count(row.n, table.k)),
                  str(row.total)]
         cells += [str(c) for c in row.run_refined] + [""] * (width - len(row.run_refined))
         body.append(cells)
@@ -280,6 +294,8 @@ def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_bijection(args: argparse.Namespace, cfg: Config) -> int:
+    from . import bijection
+
     payload = sys.stdin.read().strip()
     if not payload:
         raise ValueError("expected one object on standard input")
@@ -300,9 +316,13 @@ def cmd_bijection(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_poly(args: argparse.Namespace, cfg: Config) -> int:
     if args.method == "egf":
+        from . import series
+
         egf = series.descent_egf(args.k, args.n - 1)
         poly = series.extract_descent_polynomial(egf, args.n - 1)
     else:
+        from . import analysis
+
         poly = analysis.descent_polynomial_bruteforce(
             args.n, args.k, budget=_budget(args, cfg)
         )
@@ -315,6 +335,8 @@ def cmd_poly(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_egf(args: argparse.Namespace, cfg: Config) -> int:
     from fractions import Fraction  # local import: it loads decimal and numbers too
+
+    from . import series
 
     order = args.order if args.order is not None else cfg.truncation_order
     egf = series.egf_flattened(args.k, order)
@@ -362,6 +384,8 @@ def run_verification(limits: VerifyLimits) -> list[CheckResult]:
 
 
 def cmd_oeis(args: argparse.Namespace, cfg: Config) -> int:
+    from . import oeis
+
     report = oeis.cross_check(
         args.k,
         args.max_n,
@@ -391,6 +415,8 @@ def cmd_oeis(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_conjecture(args: argparse.Namespace, cfg: Config) -> int:
+    from . import analysis, series
+
     rows = analysis.conjecture_report(args.k, args.max_n)
     if args.format == "json":
         _print_json([r._asdict() for r in rows])

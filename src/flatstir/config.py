@@ -4,7 +4,8 @@ Precedence: command-line flags > environment variables > config file >
 built-in defaults.  The config file is flat "key = value" text; '#' starts
 a comment.  Recognized keys: budget, truncation_order, oeis_timeout,
 cache_dir.  budget and truncation_order must be >= 0, oeis_timeout finite
-and > 0.
+and > 0.  The OEIS client's defaults (fetch timeout, cache directory) live
+here, so resolving a config does not load the client.
 """
 
 from __future__ import annotations
@@ -15,10 +16,18 @@ from collections.abc import Mapping
 
 from .counting import DEFAULT_BUDGET
 from .errors import FlatstirError
-from .oeis import DEFAULT_TIMEOUT, default_cache_dir
 
 ENV_PREFIX = "FLATSTIR_"
 _KEYS = ("budget", "truncation_order", "oeis_timeout", "cache_dir")
+DEFAULT_TIMEOUT = 10.0  # a b-file fetch's socket timeout, in seconds
+
+
+def default_cache_dir(env: Mapping[str, str] = os.environ) -> str:
+    cache_dir = env.get("FLATSTIR_CACHE_DIR")
+    if cache_dir:
+        return cache_dir
+    base = env.get("XDG_CACHE_HOME", os.path.join(os.path.expanduser("~"), ".cache"))
+    return os.path.join(base, "flatstir", "oeis")
 
 
 class ConfigError(FlatstirError, ValueError):

@@ -60,6 +60,14 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
+def predicted_stirling_count(n: int, k: int) -> int:
+    """|Q_n^k| = prod_{i=0}^{n-1} (i*k + 1)."""
+    total = 1
+    for i in range(n):
+        total *= i * k + 1
+    return total
+
+
 def count_flattened_recurrence(n: int, k: int, ctx: CountContext | None = None) -> int:
     """|flt(Q_n^k)| = D_0(n-1) by the derivative triangle of F = egf_flattened(k).
 

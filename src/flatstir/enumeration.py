@@ -36,20 +36,12 @@ from typing import Iterator
 
 from . import counting
 from .bijection import _phi_letters
-from .counting import DEFAULT_BUDGET, _check_nk
+from .counting import DEFAULT_BUDGET, _check_nk, predicted_stirling_count
 from .errors import BudgetExceededError
 from .partitions import ColoredPartition, _trusted_partition
 from .words import StirlingWord, _leaders_weakly_increase, _trusted_word
 
 SetPartition = tuple[tuple[int, ...], ...]  # blocks ascending by minimum
-
-
-def predicted_stirling_count(n: int, k: int) -> int:
-    """|Q_n^k| = prod_{i=0}^{n-1} (i*k + 1)."""
-    total = 1
-    for i in range(n):
-        total *= i * k + 1
-    return total
 
 
 def _check_budget(predicted: int, budget: int | None, what: str) -> None:

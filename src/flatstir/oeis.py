@@ -18,23 +18,14 @@ The embedded prefix is aligned by construction: shift 0, no pin.
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping
 from typing import NamedTuple
 
+from .config import DEFAULT_TIMEOUT, default_cache_dir
 from .counting import CountContext, count_flattened_identity, count_flattened_recurrence
 from .errors import AlignmentError, BFileParseError, DomainError
 
 SEQUENCE_BY_K = {2: "A007405", 3: "A355164", 4: "A355167"}
 _EMBEDDED_TERMS = 10
-DEFAULT_TIMEOUT = 10.0
-
-
-def default_cache_dir(env: Mapping[str, str] = os.environ) -> str:
-    cache_dir = env.get("FLATSTIR_CACHE_DIR")
-    if cache_dir:
-        return cache_dir
-    base = env.get("XDG_CACHE_HOME", os.path.join(os.path.expanduser("~"), ".cache"))
-    return os.path.join(base, "flatstir", "oeis")
 
 
 def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:

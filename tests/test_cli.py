@@ -695,3 +695,38 @@ def test_cli_import_loads_no_fractions_json_or_verify():
     # and only some commands use them; verify is loaded by its command alone
     modules = ("fractions", "decimal", "numbers", "json", "flatstir.verify")
     assert _loaded_by_cold_start(modules) == "[]\n"
+
+
+def _flatstir_modules(*names):
+    return tuple(f"flatstir.{name}" for name in names)
+
+
+def test_cli_import_loads_no_route_module():
+    # each command imports the modules its route calls; the cold start needs
+    # only cli, errors, words and partitions
+    modules = _flatstir_modules("analysis", "series", "enumeration", "bijection", "counting",
+                                "oeis", "config", "verify")
+    assert _loaded_by_cold_start(modules) == "[]\n"
+
+
+def _loaded_by_command(argv, modules, stdin=""):
+    """The exit code of one command run through `cli.main` in a fresh
+    interpreter, and which of `modules` it loaded."""
+    code = ("import sys; from flatstir.cli import main; code = main(sys.argv[1:]); "
+            f"print(code, [m for m in {modules!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-S", "-c", code, *argv], input=stdin, env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    return done.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv,stdin,unused", [
+    (["count", "--n", "5", "--k", "2"], "",
+     ("analysis", "series", "enumeration", "bijection", "oeis")),
+    (["bijection", "--direction", "inverse", "--k", "2"], "1 1\n",
+     ("analysis", "series", "enumeration", "oeis")),
+    # |Q_n^k| is a product, not an enumeration
+    (["table", "--k", "2", "--max-n", "4"], "", ("enumeration", "bijection")),
+], ids=["count", "bijection", "table"])
+def test_a_command_loads_only_the_modules_it_calls(argv, stdin, unused):
+    assert _loaded_by_command(argv, _flatstir_modules(*unused), stdin) == "0 []"

@@ -6,6 +6,7 @@ tests break the bijection on purpose and pin the text that comes out.
 
 from flatstir import bijection, verify
 from flatstir.partitions import ColoredPartition
+from flatstir.words import parse_word
 
 
 def _details(tmp_path):
@@ -19,6 +20,15 @@ def test_round_trip_failure_names_the_partition(tmp_path, monkeypatch):
     details = _details(tmp_path)
     assert details["bijection-round-trip"] == (
         False, "AssertionError: round trip failed for 1_1 (k=1)"
+    )
+
+
+def test_non_flattened_phi_image_is_named(tmp_path, monkeypatch):
+    # Stirling, but its run leaders 2, 1 decrease
+    monkeypatch.setattr(bijection, "phi", lambda p: parse_word("2 2 1 1", 2))
+    details = _details(tmp_path)
+    assert details["bijection-round-trip"] == (
+        False, "AssertionError: phi image not flattened: (2, 2, 1, 1)"
     )
 
 
