@@ -16,10 +16,11 @@ tests and `verify` hold the table to.
 All arithmetic is exact: the series approximation sums truncated series
 in integers, so its error bound holds by construction.
 
-Only the triangle keeps state across calls, in an explicitly passed
-`CountContext`.  The identity and `series.descent_egf` step their Stirling
-rows per call with `_next_stirling_row`, using S(0,0)=1 (the identity's
-boundary term needs it) and S(a,0)=0 for a >= 1.
+No route keeps state across calls.  `flattened_totals` makes one triangle
+pass and returns every total up to its order, so a caller that wants many
+orders asks for them at once.  The identity and `series.descent_egf` step
+their Stirling rows per call with `_next_stirling_row`, using S(0,0)=1 (the
+identity's boundary term needs it) and S(a,0)=0 for a >= 1.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 DEFAULT_BUDGET = 10**8  # the enumeration size cap; None lifts it
+SERIES_MAX_TERMS = 10000  # the series route's term cap, read at call time
 
 
 class CountContext:
-    """The derivative triangle's memo, passed explicitly; one thread per instance."""
+    """Holds nothing: the three total routes ignore it.  The benchmark harness
+    still passes one; its next change deletes this class."""
 
-    def __init__(self):
-        self._flat_by_k: dict[int, tuple[list[int], list[int]]] = {}
+    __slots__ = ()
 
 
 def _next_stirling_row(prev: list[int], k: int = 1) -> list[int]:
@@ -68,22 +70,27 @@ def predicted_stirling_count(n: int, k: int) -> int:
     return total
 
 
-def count_flattened_recurrence(n: int, k: int, ctx: CountContext | None = None) -> int:
-    """|flt(Q_n^k)| = D_0(n-1) by the derivative triangle of F = egf_flattened(k).
-
-    F' = ((k-1) + e^(kz)) F, so D_a(m) = m! [z^m] e^(akz) F satisfies
-    D_a(m+1) = (ak+k-1) D_a(m) + D_{a+1}(m) with D_a(0) = 1.  Per k, the memo
-    keeps the totals D_0(m) and the last anti-diagonal D_a(m-a), a = 0..m.
+def flattened_totals(k: int, max_n: int) -> list[int]:
+    """[f(1), ..., f(max_n)], f(n) = |flt(Q_n^k)|, by one pass of the derivative
+    triangle of F = egf_flattened(k): F' = ((k-1) + e^(kz)) F, so
+    D_a(m) = m! [z^m] e^(akz) F satisfies D_a(m+1) = (ak+k-1) D_a(m) + D_{a+1}(m)
+    with D_a(0) = 1, and f(m+1) = D_0(m).  Only the last anti-diagonal
+    D_a(m-a), a = 0..m, is kept.
     """
-    _check_nk(n, k)
-    ctx = ctx or CountContext()
-    totals, diag = ctx._flat_by_k.setdefault(k, ([1], [1]))
-    while len(totals) < n:
+    _check_nk(max_n, k)
+    totals, diag = [1], [1]
+    while len(totals) < max_n:
         diag.append(1)  # D_{m+1}(0)
         for a in range(len(diag) - 2, -1, -1):
             diag[a] = (a * k + k - 1) * diag[a] + diag[a + 1]
         totals.append(diag[0])
-    return totals[n - 1]
+    return totals
+
+
+def count_flattened_recurrence(n: int, k: int, ctx: CountContext | None = None) -> int:
+    """|flt(Q_n^k)|, the last of `flattened_totals(k, n)`: a caller that wants
+    many orders reads them from one such list.  `ctx` is ignored."""
+    return flattened_totals(k, n)[-1]
 
 
 def count_flattened_identity(n: int, k: int, ctx: CountContext | None = None) -> int:
@@ -95,8 +102,7 @@ def count_flattened_identity(n: int, k: int, ctx: CountContext | None = None) ->
     over j = m-i: one row T(j, r) = k^(j-r) S(j, r) is held at a time, so the
     inner sum is the row's sum, and the outer sum is taken by Horner in k-1
     with C(m, j) advanced from C(m, j-1); memory is O(n) integers.  `ctx` is
-    ignored (this route keeps no state); it stays because the benchmark
-    harness passes it.
+    ignored.
     """
     _check_nk(n, k)
     m = n - 1
@@ -109,7 +115,7 @@ def count_flattened_identity(n: int, k: int, ctx: CountContext | None = None) ->
 
 
 def count_flattened_series_approx(
-    n: int, k: int, precision_bits: int = 128, *, max_terms: int = 10000
+    n: int, k: int, precision_bits: int = 128
 ) -> tuple[Fraction, int]:
     """Evaluate e^(-1/k) * sum_{r>=0} (kr+k-1)^n / (r! k^r) in exact integers.
 
@@ -137,9 +143,9 @@ def count_flattened_series_approx(
         step = (r + 1) * k
         if term and 2 * nxt < term * step and nxt << (h + 1) < den * step:
             break
-        if r >= max_terms:
+        if r >= SERIES_MAX_TERMS:
             raise ConvergenceError(
-                f"series for n={n}, k={k} not converged after {max_terms} terms"
+                f"series for n={n}, k={k} not converged after {SERIES_MAX_TERMS} terms"
             )
         num, den, term, r = num * step, den * step, nxt, r + 1
     # e^(-1/k) ~ e_num / (j! k^j), and den_e = den * j! k^j is the product's denominator
@@ -259,19 +265,17 @@ def count_table(k: int, max_n: int) -> CountTable:
     """Totals and run-refined counts for n=1..max_n, without enumeration.
 
     Runs = descents + 1, so the refinement at order n is the descent
-    polynomial, entry n-1 of one descent EGF.  The total comes from the
-    triangle, and each row's sum check holds the two routes to each other.
+    polynomial, entry n-1 of one descent EGF.  The totals come from one
+    triangle pass; each row's sum check holds the two routes together.
     """
     from . import series  # local import: series depends on this module
 
-    _check_nk(max_n, k)
-    ctx = CountContext()
+    totals = flattened_totals(k, max_n)
     egf = series.descent_egf(k, max_n - 1)
     rows = []
-    for n in range(1, max_n + 1):
-        refined = egf.coeffs[n - 1]
+    for n, (total, refined) in enumerate(zip(totals, egf.coeffs, strict=True), start=1):
         _check_run_bound(n, k, len(refined))
-        rows.append(CountTableRow(n, count_flattened_recurrence(n, k, ctx), refined))
+        rows.append(CountTableRow(n, total, refined))
     return CountTable(k, tuple(rows))
 
 

@@ -4,9 +4,9 @@ The three sequences tied to k = 2, 3, 4 are fetched as b-files (plain
 text, "index value" per line, '#' comments) by one path: the network,
 whose verbatim bytes are cached on disk (atomic write), then the cache.
 When neither has the data, the check compares against an embedded prefix
-computed by the Stirling-number identity (the check itself uses the
-recurrence), so the offline path never relies on unverified third-party
-data and still compares two different derivations.
+computed by the Stirling-number identity (the check itself uses one pass
+of the derivative triangle), so the offline path never relies on
+unverified third-party data and still compares two different derivations.
 
 The index offset of fetched data is not assumed: the first three computed
 terms are located inside the fetched prefix and the resulting shift is
@@ -21,7 +21,7 @@ import os
 from typing import NamedTuple
 
 from .config import DEFAULT_TIMEOUT, default_cache_dir
-from .counting import CountContext, count_flattened_identity, count_flattened_recurrence
+from .counting import count_flattened_identity, flattened_totals
 from .errors import AlignmentError, BFileParseError, DomainError
 
 SEQUENCE_BY_K = {2: "A007405", 3: "A355164", 4: "A355167"}
@@ -129,11 +129,10 @@ def cross_check(
         raise DomainError(f"no cited sequence for k={k}; only k in {sorted(SEQUENCE_BY_K)}")
     if max_n < 2:
         raise DomainError("need max_n >= 2: alignment uses the first three terms")
-    ctx = CountContext()
     sequence_id = SEQUENCE_BY_K[k]
     cache_dir = cache_dir or default_cache_dir()
     fetched = _fetch(sequence_id, cache_dir, offline, timeout)
-    computed = [count_flattened_recurrence(n + 1, k, ctx) for n in range(max_n + 1)]
+    computed = flattened_totals(k, max_n + 1)
     if fetched is None:
         source, shift = "embedded", 0
         values = tuple(count_flattened_identity(n + 1, k) for n in range(_EMBEDDED_TERMS))

@@ -7,6 +7,8 @@ them all and fails on any mismatch.
 
 Reference constants below are regression anchors; every one of them is
 recomputed from scratch by the brute-force oracle inside these checks.
+A check over a range of orders reads its totals from one triangle pass per
+k; checks share only the memo of brute-force run distributions.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import time
 from typing import Callable, NamedTuple
 
 from . import analysis, bijection, counting, enumeration, oeis, series, words
-from .counting import CountContext
 from .errors import NotFlattenedError
 from .partitions import block_descent_count, parse_partition
 from .words import parse_word
@@ -69,7 +70,6 @@ class VerifyLimits(NamedTuple):
 class _State:
     def __init__(self, limits: VerifyLimits):
         self.limits = limits
-        self.ctx = CountContext()
         self._distributions: dict[tuple[int, int], counting.CountTableRow] = {}
 
     def distribution(self, n: int, k: int) -> counting.CountTableRow:
@@ -117,9 +117,9 @@ def _expect(condition: bool, message: str) -> None:
 
 
 def _check_totals(state: _State) -> str:
-    ctx = state.ctx
+    recurrence = counting.flattened_totals(2, len(REFERENCE_TOTALS_K2))
     for n, expected in REFERENCE_TOTALS_K2.items():
-        rec = counting.count_flattened_recurrence(n, 2, ctx)
+        rec = recurrence[n - 1]
         ident = counting.count_flattened_identity(n, 2)
         _expect(rec == expected, f"recurrence({n},2)={rec}, reference {expected}")
         _expect(ident == expected, f"identity({n},2)={ident}, reference {expected}")
@@ -132,8 +132,7 @@ def _check_totals(state: _State) -> str:
         )
     for k in range(1, 7):
         series_route = series.egf_flattened(k, 24)
-        for n in range(1, 26):
-            rec = counting.count_flattened_recurrence(n, k, ctx)
+        for n, rec in enumerate(counting.flattened_totals(k, 25), start=1):
             ident = counting.count_flattened_identity(n, k)
             _expect(rec == ident, f"recurrence/identity disagree at n={n}, k={k}")
             _expect(
@@ -280,10 +279,8 @@ def closed_form_k2(order: int) -> series.EgfSeries:
 
 
 def _check_numeric_series(state: _State) -> str:
-    ctx = state.ctx
     for k in range(1, 5):
-        for n in range(16):
-            exact = counting.count_flattened_recurrence(n + 1, k, ctx)
+        for n, exact in enumerate(counting.flattened_totals(k, 16)):
             approx, rounded = counting.count_flattened_series_approx(n, k, 128)
             _expect(rounded == exact, f"series approx rounds to {rounded}, exact {exact}")
             _expect(
@@ -294,9 +291,7 @@ def _check_numeric_series(state: _State) -> str:
 
 
 def _check_bell(state: _State) -> str:
-    ctx = state.ctx
-    for n in range(21):
-        flat = counting.count_flattened_recurrence(n + 1, 1, ctx)
+    for n, flat in enumerate(counting.flattened_totals(1, 21)):
         bell = counting.bell_number(n)
         _expect(flat == bell, f"order {n + 1} count {flat} != Bell({n}) = {bell}")
     return "k=1 counts equal Bell numbers through n=20"

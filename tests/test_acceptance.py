@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import pytest
 
 import flatstir as fs
+from flatstir.counting import flattened_totals
 from flatstir.oeis import SEQUENCE_BY_K
 from flatstir.verify import (
     REFERENCE_DESCENT_POLYS,
@@ -38,11 +39,6 @@ def criterion(capsys, label):
 
 
 @pytest.fixture(scope="module")
-def actx():
-    return fs.CountContext()
-
-
-@pytest.fixture(scope="module")
 def dist_k2():
     """Run distributions for k=2 through n=8: the pruned filter walk keeps
     the 28,640 flattened words of order 8, though the budget still counts
@@ -62,13 +58,14 @@ def dist_k1():
     return {n: fs.run_distribution_bruteforce(n, 1) for n in range(1, 8)}
 
 
-def test_criterion_01_totals_three_routes(capsys, actx):
+def test_criterion_01_totals_three_routes(capsys):
     with criterion(capsys, "1: totals by recurrence/identity/EGF, k=2, n=1..10"):
         start = time.monotonic()
         egf = fs.egf_flattened(2, 9)
+        recurrence = flattened_totals(2, 10)
         for n in range(1, 11):
             expected = REFERENCE_TOTALS_K2[n]
-            assert fs.count_flattened_recurrence(n, 2, actx) == expected
+            assert recurrence[n - 1] == expected
             assert fs.count_flattened_identity(n, 2) == expected
             assert egf.egf_coefficient(n - 1) == expected
         assert time.monotonic() - start < 1.0
@@ -152,20 +149,19 @@ def test_criterion_07_specializations(capsys):
             assert collapsed == [univariate.egf_coefficient(n) for n in range(26)], f"k={k}"
 
 
-def test_criterion_08_numeric_series(capsys, actx):
+def test_criterion_08_numeric_series(capsys):
     with criterion(capsys, "8: numeric series rounds to the exact count"):
         for k in (1, 2, 3, 4):
-            for n in range(16):
-                exact = fs.count_flattened_recurrence(n + 1, k, actx)
+            for n, exact in enumerate(flattened_totals(k, 16)):
                 approx, rounded = fs.count_flattened_series_approx(n, k, 128)
                 assert rounded == exact, f"n={n}, k={k}"
                 assert abs(approx - exact) < 1e-6 * exact, f"n={n}, k={k}"
 
 
-def test_criterion_09_bell_reduction(capsys, actx):
+def test_criterion_09_bell_reduction(capsys):
     with criterion(capsys, "9: k=1 counts equal Bell numbers, n<=20"):
-        for n in range(21):
-            assert fs.count_flattened_recurrence(n + 1, 1, actx) == fs.bell_number(n)
+        for n, total in enumerate(flattened_totals(1, 21)):
+            assert total == fs.bell_number(n)
 
 
 def test_criterion_10_oeis(capsys, monkeypatch):

@@ -22,7 +22,7 @@ from flatstir import (
     max_runs_bound,
     run_distribution_bruteforce,
 )
-from flatstir.counting import _next_stirling_row
+from flatstir.counting import _next_stirling_row, flattened_totals
 
 TOTALS_K2 = [1, 2, 6, 24, 116, 648, 4088, 28640, 219920, 1832224]  # n = 1..10
 
@@ -91,11 +91,13 @@ class TestStirling2:
 
 
 class TestTotals:
-    def test_recurrence_reference_values(self, ctx):
-        assert [count_flattened_recurrence(n, 2, ctx) for n in range(1, 11)] == TOTALS_K2
+    def test_recurrence_reference_values(self):
+        assert flattened_totals(2, 10) == TOTALS_K2
+        assert count_flattened_recurrence(10, 2) == TOTALS_K2[-1]
 
-    def test_base_case_any_k(self, ctx):
-        assert count_flattened_recurrence(1, 7, ctx) == 1
+    def test_base_case_any_k(self):
+        assert count_flattened_recurrence(1, 7) == 1
+        assert flattened_totals(7, 1) == [1]
 
     def test_identity_examples(self):
         assert count_flattened_identity(2, 2) == 2
@@ -103,16 +105,15 @@ class TestTotals:
         assert count_flattened_identity(4, 3) == 63
 
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_identity_equals_recurrence(self, k, ctx):
-        for n in range(1, 26):
-            assert count_flattened_identity(n, k) == count_flattened_recurrence(n, k, ctx)
+    def test_identity_equals_recurrence(self, k):
+        for n, total in enumerate(flattened_totals(k, 25), start=1):
+            assert count_flattened_identity(n, k) == total
 
     @pytest.mark.parametrize(
         "n,k", [(300, 1), (300, 2), (300, 3), (300, 4), (600, 2), (600, 3), (600, 4)]
     )
     def test_identity_equals_recurrence_at_large_n(self, n, k):
-        ctx = CountContext()  # fresh: the triangle's memo for k grows to order n
-        assert count_flattened_identity(n, k) == count_flattened_recurrence(n, k, ctx)
+        assert count_flattened_identity(n, k) == count_flattened_recurrence(n, k)
 
     def test_identity_memory_is_linear(self):
         """One Stirling row at a time: no triangle in memory."""
@@ -124,28 +125,33 @@ class TestTotals:
             tracemalloc.stop()
         assert peak < 2 * 2**20  # the whole triangle up to 600 peaks near 41 MiB
 
-    def test_stateless_routes_accept_a_positional_context(self, ctx):
-        """The benchmark harness passes a context to both; they ignore it."""
+    def test_stateless_routes_accept_a_positional_context(self):
+        """The benchmark harness passes a context to all three; they ignore it."""
+        ctx = CountContext()
+        assert count_flattened_recurrence(6, 2, ctx) == 648
         assert count_flattened_identity(6, 2, ctx) == 648
         assert egf_flattened(2, 5, ctx).egf_coefficient(5) == 648
 
-    def test_shared_context_grows_out_of_order(self):
-        shared = CountContext()
-        for k in (2, 3):
-            for n in (50, 3, 79):
-                fresh = count_flattened_recurrence(n, k, CountContext())
-                assert count_flattened_recurrence(n, k, shared) == fresh
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_totals_end_at_the_recurrence(self, k):
+        for n in (1, 2, 7, 40):
+            assert flattened_totals(k, n)[-1] == count_flattened_recurrence(n, k)
 
-    def test_rejects_n0(self, ctx):
+    @pytest.mark.parametrize("k,max_n", [(0, 5), (-1, 5), (2, 0), (2, -3)])
+    def test_totals_reject_bad_domain(self, k, max_n):
         with pytest.raises(DomainError):
-            count_flattened_recurrence(0, 2, ctx)
+            flattened_totals(k, max_n)
+
+    def test_rejects_n0(self):
+        with pytest.raises(DomainError):
+            count_flattened_recurrence(0, 2)
         with pytest.raises(DomainError):
             count_flattened_identity(0, 2)
 
     @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (3, 4)])
-    def test_matches_bruteforce(self, n, k, ctx):
+    def test_matches_bruteforce(self, n, k):
         brute = run_distribution_bruteforce(n, k).total
-        assert count_flattened_recurrence(n, k, ctx) == brute
+        assert count_flattened_recurrence(n, k) == brute
 
 
 class TestSeriesApprox:
@@ -161,19 +167,17 @@ class TestSeriesApprox:
         assert count_flattened_series_approx(9, 2, 128)[1] == 1832224
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_rounds_to_exact(self, k, ctx):
-        for n in range(12):
-            exact = count_flattened_recurrence(n + 1, k, ctx)
+    def test_rounds_to_exact(self, k):
+        for n, exact in enumerate(flattened_totals(k, 12)):
             approx, rounded = count_flattened_series_approx(n, k, 128)
             assert rounded == exact
             assert abs(approx - exact) < 1e-6 * exact
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_rounds_to_exact_far_beyond_the_precision(self, k, ctx):
+    def test_rounds_to_exact_far_beyond_the_precision(self, k):
         # a tail bound relative to the sum (2^-64 at 128 bits) went wrong from
         # exponent 26, 22, 20 and 19 on for k = 1..4
-        for n in range(101):
-            exact = count_flattened_recurrence(n + 1, k, ctx)
+        for n, exact in enumerate(flattened_totals(k, 101)):
             assert count_flattened_series_approx(n, k, 128)[1] == exact, f"n={n}"
 
     def test_order40_k2(self):
@@ -182,20 +186,21 @@ class TestSeriesApprox:
             assert count_flattened_series_approx(39, 2, bits)[1] == exact
 
     @pytest.mark.parametrize("bits", [64, 128, 512])
-    def test_error_is_certified(self, bits, ctx):
+    def test_error_is_certified(self, bits):
         # the approximation itself, not only its rounding, is within 1.5 * 2^-(bits/2)
         bound = Fraction(3, 2 ** (bits // 2 + 1))
         for k in (1, 2, 3, 4):
-            for n in range(101):
-                exact = count_flattened_recurrence(n + 1, k, ctx)
+            for n, exact in enumerate(flattened_totals(k, 101)):
                 approx, rounded = count_flattened_series_approx(n, k, bits)
                 assert isinstance(approx, Fraction)
                 assert abs(approx - exact) < bound, f"n={n}, k={k}"
                 assert rounded == exact
 
-    def test_term_cap_raises(self):
-        with pytest.raises(ConvergenceError):
-            count_flattened_series_approx(39, 2, 128, max_terms=5)
+    def test_term_cap_raises(self, monkeypatch):
+        monkeypatch.setattr("flatstir.counting.SERIES_MAX_TERMS", 5)
+        message = r"^series for n=39, k=2 not converged after 5 terms$"
+        with pytest.raises(ConvergenceError, match=message):
+            count_flattened_series_approx(39, 2, 128)
 
     def test_rejects_low_precision(self):
         with pytest.raises(DomainError):
@@ -286,9 +291,9 @@ class TestBell:
             oracle = sum(1 for _ in brute_partitions(tuple(range(n))))
             assert bell_number(n) == oracle
 
-    def test_k1_counts_are_bell_numbers(self, ctx):
-        for n in range(13):
-            assert count_flattened_recurrence(n + 1, 1, ctx) == bell_number(n)
+    def test_k1_counts_are_bell_numbers(self):
+        for n, total in enumerate(flattened_totals(1, 13)):
+            assert total == bell_number(n)
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
@@ -305,3 +310,14 @@ class TestCountTable:
     def test_rows_match_bruteforce(self, k, max_n):
         table = count_table(k, max_n)
         assert table.rows == tuple(run_distribution_bruteforce(n, k) for n in range(1, max_n + 1))
+
+    def test_totals_disagreeing_with_the_descent_egf_raise(self, monkeypatch):
+        """A wrong triangle total fails the row's sum check against the EGF."""
+
+        def off_by_one(k, max_n):
+            return [f + (n >= 5) for n, f in enumerate(flattened_totals(k, max_n), start=1)]
+
+        monkeypatch.setattr("flatstir.counting.flattened_totals", off_by_one)
+        assert [row.total for row in count_table(2, 4).rows] == [1, 2, 6, 24]
+        with pytest.raises(AssertionError, match=r"\(1, 37, 70, 8\) does not sum to total 117"):
+            count_table(2, 5)

@@ -136,13 +136,13 @@ class TestGcpGenerator:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_counts_match_recurrence_and_all_validate(self, n, k, ctx):
+    def test_counts_match_recurrence_and_all_validate(self, n, k):
         seen = set()
         for p in gen_gcp(n, k):
             assert first_failed_rule(p) is None
             assert p not in seen
             seen.add(p)
-        assert len(seen) == count_flattened_recurrence(n, k, ctx)
+        assert len(seen) == count_flattened_recurrence(n, k)
 
     def test_k1_first_block_is_singleton(self):
         for p in gen_gcp(4, 1):

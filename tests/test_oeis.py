@@ -7,9 +7,9 @@ from flatstir import (
     AlignmentError,
     BFileParseError,
     DomainError,
-    count_flattened_recurrence,
     cross_check,
 )
+from flatstir.counting import flattened_totals
 from flatstir.oeis import parse_bfile
 
 K2_PREFIX = [1, 2, 6, 24, 116, 648, 4088, 28640, 219920, 1832224, 16430176]
@@ -59,12 +59,12 @@ class TestParse:
 class TestFetch:
     """Network, then cache, then embedded terms, as `cross_check` reports them."""
 
-    def test_offline_embedded(self, tmp_path, ctx):
+    def test_offline_embedded(self, tmp_path):
         report = cross_check(2, 9, cache_dir=str(tmp_path), offline=True)
         assert report.source == "embedded"
         assert report.compared == 10
         expected = tuple(r.expected for r in report.rows)
-        assert expected == tuple(count_flattened_recurrence(i + 1, 2, ctx) for i in range(10))
+        assert expected == tuple(flattened_totals(2, 10))
         assert expected[:6] == (1, 2, 6, 24, 116, 648)
 
     def test_network_then_cache_round_trip(self, tmp_path, monkeypatch):
@@ -162,10 +162,10 @@ class TestCrossCheck:
     def test_offline_check_is_not_circular(self, tmp_path, monkeypatch):
         """A wrong count must not be checked against itself offline."""
 
-        def off_by_one(n, k, ctx=None):
-            return count_flattened_recurrence(n, k, ctx) + (n >= 5)
+        def off_by_one(k, max_n):
+            return [f + (n >= 5) for n, f in enumerate(flattened_totals(k, max_n), start=1)]
 
-        monkeypatch.setattr("flatstir.oeis.count_flattened_recurrence", off_by_one)
+        monkeypatch.setattr("flatstir.oeis.flattened_totals", off_by_one)
         report = cross_check(2, 9, offline=True, cache_dir=str(tmp_path))
         assert report.source == "embedded" and report.shift == 0
         assert not report.all_match

@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flatstir import (
-    CountContext,
     DomainError,
     EgfSeries,
     IntPolynomial,
-    count_flattened_recurrence,
     descent_egf,
     egf_flattened,
     extract_descent_polynomial,
     max_runs_bound,
 )
+from flatstir.counting import flattened_totals
 from flatstir.verify import closed_form_k1
 
 
@@ -128,17 +127,16 @@ class TestEgfFlattened:
         assert egf_flattened(k, 4).egf_coefficient(0) == 1
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
-    def test_matches_recurrence(self, k, ctx):
+    def test_matches_recurrence(self, k):
         egf = egf_flattened(k, 24)
-        for n in range(25):
-            assert egf.egf_coefficient(n) == count_flattened_recurrence(n + 1, k, ctx)
+        for n, total in enumerate(flattened_totals(k, 25)):
+            assert egf.egf_coefficient(n) == total
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_matches_triangle_at_order_300(self, k):
-        ctx = CountContext()  # fresh: the triangle's memo for k grows to order 300
         egf = egf_flattened(k, 299)
-        for n in range(300):
-            assert egf.egf_coefficient(n) == count_flattened_recurrence(n + 1, k, ctx)
+        for n, total in enumerate(flattened_totals(k, 300)):
+            assert egf.egf_coefficient(n) == total
 
 
 class TestDescentEgf:
