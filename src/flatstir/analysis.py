@@ -5,9 +5,11 @@ The brute-force descent polynomial is the run tally of
 descents + 1); `conjecture_report` reads its polynomials off the descent
 EGF instead.  Unimodality holds in every case checked; real-rootedness
 fails from order 27, 41 and 54 for k = 2, 3 and 4 (order 26, 40 and 53 are
-real-rooted).  The real-rootedness test is an exact decision procedure (a
-Sturm chain over the integers, its signs read at plus and minus infinity),
-never a numeric root finder.
+real-rooted).  The real-rootedness test is an exact decision procedure,
+never a numeric root finder: by Sturm's theorem p is real-rooted iff its
+integer Sturm chain drops one degree per member and keeps the sign of
+lc(p) in every leading coefficient, so the test walks the chain and stops
+at the first member that breaks this.
 """
 
 from __future__ import annotations
@@ -47,21 +49,33 @@ def is_unimodal(p: IntPolynomial) -> bool:
 def is_real_rooted(p: IntPolynomial) -> bool:
     """Exact decision: are all complex roots of p real?
 
-    Builds the Sturm chain of p itself over the integers.  Its last member
-    is gcd(p, p') up to a positive factor, so p has deg p - deg(last)
-    distinct roots; the sign variations of the chain at -infinity and
-    +infinity, read from leading coefficients and degree parity, count the
-    real ones among them.  Constants (no roots) decide True.
+    Walks the Sturm chain of p over the integers: p, p', then each negated
+    pseudo-remainder divided by its positive content, a positive multiple
+    of the classical member.  p is real-rooted iff every member after p'
+    has degree exactly one below the member before it and a leading
+    coefficient of the sign of lc(p).  Why: the chain ends at gcd(p, p')
+    of degree e, so p has d - e distinct roots (d = deg p) and the chain
+    at most d - e + 1 members.  Sturm counts the distinct real roots as
+    V(-inf) - V(+inf), the chain's sign variations at either end, and that
+    reaches d - e only when every degree drops by one and V(+inf) = 0.
+    So the walk keeps two members, returns False at the first that breaks
+    the rule, and True when a pseudo-remainder vanishes.  Constants (no
+    roots) decide True.
     """
     if not p.coeffs:
         raise DomainError("the zero polynomial has no root multiset to decide")
     if p.degree == 0:
         return True
-    chain = _sturm_chain(list(p.coeffs))
-    at_plus = [1 if q[-1] > 0 else -1 for q in chain]
-    at_minus = [s if len(q) % 2 else -s for s, q in zip(at_plus, chain)]
-    distinct = p.degree - (len(chain[-1]) - 1)
-    return _sign_variations(at_minus) - _sign_variations(at_plus) == distinct
+    positive = p.coeffs[-1] > 0
+    a = list(p.coeffs)
+    b = [i * c for i, c in enumerate(a)][1:]
+    while rem := _pseudo_remainder(a, b):
+        # the next member is -rem / content: its lc has the sign of -rem[-1]
+        if len(rem) != len(b) - 1 or (rem[-1] > 0) == positive:
+            return False
+        content = gcd(*rem)
+        a, b = b, [-c // content for c in rem]
+    return True
 
 
 class ConjectureRow(NamedTuple):
@@ -89,21 +103,6 @@ def conjecture_report(k: int, max_n: int) -> list[ConjectureRow]:
 # -- integer Sturm chain (ascending coefficients) --
 
 
-def _sturm_chain(p: list[int]) -> list[list[int]]:
-    """p, p', then negated pseudo-remainders divided by their positive content.
-
-    Every member is a positive multiple of the classical Sturm member, so
-    every sign is kept; the last one is gcd(p, p') up to a positive factor.
-    """
-    chain = [p, [i * c for i, c in enumerate(p)][1:]]
-    while True:
-        rem = _pseudo_remainder(chain[-2], chain[-1])
-        if not rem:
-            return chain
-        content = gcd(*rem)
-        chain.append([-c // content for c in rem])
-
-
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     """The remainder of |lc(b)|^(deg a - deg b + 1) * a divided by b."""
     scale = abs(b[-1])
@@ -118,6 +117,3 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
         rem.pop()
     return rem
 
-
-def _sign_variations(signs: list[int]) -> int:
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)

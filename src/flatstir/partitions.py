@@ -115,7 +115,8 @@ def _check_structure(n: int, k: int, blocks: tuple[Block, ...]) -> None:
             seen.append(e)
             if not 1 <= c <= k:
                 raise MalformedPartitionError(f"color {c} of element {e} outside 1..{k}")
-    if sorted(seen) != list(range(1, n + 1)):
+    # the count first: a huge n is refused before [1..n] is built
+    if len(seen) != n or sorted(seen) != list(range(1, n + 1)):
         raise MalformedPartitionError(f"blocks do not partition [1..{n}]")
 
 

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,6 +78,16 @@ class TestRealRooted:
     def test_constant(self):
         assert is_real_rooted(IntPolynomial((7,)))
 
+    def test_negative_leading_coefficient(self):
+        assert is_real_rooted(IntPolynomial((-2, -3, -1)))  # -(t+1)(t+2)
+        assert not is_real_rooted(IntPolynomial((-1, 0, -1)))  # -(t^2+1)
+
+    def test_degree_skip_in_the_chain(self):
+        # the chains run t^3 + 1, 3t^2, -1 and t^3 - 1, 3t^2, 1: two degrees
+        # down, the second with every leading coefficient positive
+        assert not is_real_rooted(IntPolynomial((1, 0, 0, 1)))
+        assert not is_real_rooted(IntPolynomial((-1, 0, 0, 1)))
+
     def test_zero_poly_rejected(self):
         with pytest.raises(DomainError):
             is_real_rooted(IntPolynomial(()))
@@ -123,6 +135,41 @@ def test_known_answers_with_repeated_roots(factors, c):
     assert not is_real_rooted(IntPolynomial(_product([real, (c, 0, 1)])))  # times t^2 + c
 
 
+def _reference_is_real_rooted(p):
+    """The full Sturm count: the whole integer chain of p, its sign variations
+    at -infinity minus those at +infinity (the distinct real roots) against
+    deg p - deg gcd(p, p'), the distinct roots; the last member is the gcd."""
+    chain = [list(p), [i * c for i, c in enumerate(p)][1:]]
+    while chain[-1]:
+        a, b = chain[-2], chain[-1]
+        rem = list(a)
+        for shift in range(len(a) - len(b), -1, -1):  # |lc(b)|^(deg a - deg b + 1) * a mod b
+            top = rem.pop() * (1 if b[-1] > 0 else -1)
+            rem = [abs(b[-1]) * c for c in rem]
+            for i, c in enumerate(b[:-1]):
+                rem[shift + i] -= top * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+        content = gcd(*rem)
+        chain.append([-c // content for c in rem])
+    chain.pop()  # the zero remainder (or the zero derivative of a constant)
+
+    def variations(signs):
+        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+    at_plus = [1 if q[-1] > 0 else -1 for q in chain]
+    at_minus = [s if len(q) % 2 else -s for s, q in zip(at_plus, chain)]
+    return variations(at_minus) - variations(at_plus) == len(p) - len(chain[-1])
+
+
+@pytest.mark.parametrize("k,max_n", [(1, 40), (2, 40), (3, 45)])
+def test_matches_the_sturm_count_on_descent_polynomials(k, max_n):
+    egf = descent_egf(k, max_n - 1)  # entry n - 1 is order n
+    for n in range(1, max_n + 1):
+        poly = extract_descent_polynomial(egf, n - 1)
+        assert is_real_rooted(poly) is _reference_is_real_rooted(poly.coeffs), n
+
+
 @pytest.mark.parametrize("k,last_real_rooted", [(2, 26), (3, 40), (4, 53)])
 def test_real_rootedness_fails_one_order_past(k, last_real_rooted):
     egf = descent_egf(k, last_real_rooted)  # entry n - 1 is order n
@@ -136,6 +183,13 @@ class TestConjectureReport:
         assert len(rows) == 10
         assert all(r.unimodal and r.real_rooted for r in rows)
         assert rows[4].coefficients == (1, 37, 70, 8)
+
+    def test_k2_through_order_100(self):
+        # cheap: each failing chain stops at its first bad member
+        rows = conjecture_report(2, 100)
+        assert [r.n for r in rows] == list(range(1, 101))
+        assert all(r.unimodal for r in rows)
+        assert [r.n for r in rows if not r.real_rooted] == list(range(27, 101))
 
     def test_k3_published_range(self):
         rows = conjecture_report(3, 5)

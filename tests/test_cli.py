@@ -142,6 +142,23 @@ class TestBijection:
         code, _, err = run(capsys, "bijection", "--direction", "forward", "--k", "2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "fmt,payload",
+        [
+            ("json", '{"n": 1000000000000, "k": 2, "blocks": [[[1, 1]]]}'),
+            ("text", "1_1 | 1000000000000_1"),
+        ],
+        ids=["json", "text"],
+    )
+    def test_huge_n_in_partition_is_usage_error(self, capsys, monkeypatch, fmt, payload):
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, out, err = run(
+            capsys, "bijection", "--direction", "forward", "--k", "2", "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: usage: blocks do not partition [1..1000000000000]\n"
+
     def test_json_float_in_partition_is_usage_error(self, capsys, monkeypatch):
         # int() would read the pair (2.9, 1.7) as (2, 1) and print a word
         payload = '{"n": 2, "k": 2, "blocks": [[[1, 1], [2.9, 1.7]]]}'

@@ -77,6 +77,14 @@ class TestStructure:
         with pytest.raises(MalformedPartitionError):
             ColoredPartition(1, 1, (((1, 1),), ()))
 
+    def test_huge_n_is_refused_before_building_the_range(self):
+        # comparing against [1..10**12] element by element would take terabytes
+        message = r"blocks do not partition \[1\.\.1000000000000\]"
+        with pytest.raises(MalformedPartitionError, match=message):
+            partition_from_json('{"n": 1000000000000, "k": 2, "blocks": [[[1, 1]]]}')
+        with pytest.raises(MalformedPartitionError, match=message):
+            parse_partition("1_1 | 1000000000000_1", 2)
+
 
 class TestNormalization:
     def test_blocks_and_elements_sorted(self):
