@@ -173,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full cross-validation suite")
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--max-k", type=int, default=4)
-    p.add_argument("--budget", type=int)
     p.add_argument("--offline", action="store_true", help="skip network fetches")
     p.set_defaults(handler=cmd_verify)
 
@@ -202,7 +201,7 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
 
 def _budget(args: argparse.Namespace, cfg: Config) -> int | None:
     """The enumeration cap: None under --force, else --budget or the config's."""
-    if getattr(args, "force", False):
+    if args.force:
         return None
     return args.budget if args.budget is not None else cfg.budget
 
@@ -355,7 +354,6 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     limits = VerifyLimits(
         max_n=args.max_n,
         max_k=args.max_k,
-        budget=_budget(args, cfg),
         offline_oeis=args.offline,
         cache_dir=cfg.cache_dir,
         oeis_timeout=cfg.oeis_timeout,

@@ -18,17 +18,19 @@ in integers, so its error bound holds by construction.
 
 No route keeps state across calls.  `flattened_totals` makes one triangle
 pass and returns every total up to its order, so a caller that wants many
-orders asks for them at once.  The identity and `series.descent_egf` step
-their Stirling rows per call with `_next_stirling_row`, using S(0,0)=1 (the
-identity's boundary term needs it) and S(a,0)=0 for a >= 1.
+orders asks for them at once; `enumeration`'s budget guard reads the same
+lazy pass only up to the first total past its cap.  The identity and
+`series.descent_egf` step their Stirling rows per call with
+`_next_stirling_row`, using S(0,0)=1 (the identity's boundary term needs
+it) and S(a,0)=0 for a >= 1.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from math import comb, factorial
+from itertools import accumulate, islice
+from math import comb, factorial, prod
 from operator import add, mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import ConvergenceError, DomainError
 
@@ -64,27 +66,29 @@ def bell_number(n: int) -> int:
 
 def predicted_stirling_count(n: int, k: int) -> int:
     """|Q_n^k| = prod_{i=0}^{n-1} (i*k + 1)."""
-    total = 1
-    for i in range(n):
-        total *= i * k + 1
-    return total
+    return prod(range(1, (n - 1) * k + 2, k))
 
 
-def flattened_totals(k: int, max_n: int) -> list[int]:
-    """[f(1), ..., f(max_n)], f(n) = |flt(Q_n^k)|, by one pass of the derivative
+def _flattened_total_stream(k: int) -> Iterator[int]:
+    """f(1), f(2), ... without end, f(n) = |flt(Q_n^k)|, by the derivative
     triangle of F = egf_flattened(k): F' = ((k-1) + e^(kz)) F, so
     D_a(m) = m! [z^m] e^(akz) F satisfies D_a(m+1) = (ak+k-1) D_a(m) + D_{a+1}(m)
     with D_a(0) = 1, and f(m+1) = D_0(m).  Only the last anti-diagonal
-    D_a(m-a), a = 0..m, is kept.
+    D_a(m-a), a = 0..m, is kept, and the next one is built only when the
+    next total is asked for.
     """
-    _check_nk(max_n, k)
-    totals, diag = [1], [1]
-    while len(totals) < max_n:
+    diag = [1]
+    while True:
+        yield diag[0]
         diag.append(1)  # D_{m+1}(0)
         for a in range(len(diag) - 2, -1, -1):
             diag[a] = (a * k + k - 1) * diag[a] + diag[a + 1]
-        totals.append(diag[0])
-    return totals
+
+
+def flattened_totals(k: int, max_n: int) -> list[int]:
+    """[f(1), ..., f(max_n)]: the first max_n totals of one triangle pass."""
+    _check_nk(max_n, k)
+    return list(islice(_flattened_total_stream(k), max_n))
 
 
 def count_flattened_recurrence(n: int, k: int, ctx: CountContext | None = None) -> int:

@@ -2,10 +2,13 @@
 
 These streams are the ground-truth oracle every closed form is checked
 against; no command uses them where a polynomial-time formula exists.
-They are lazy and deterministic; a budget guard refuses instance sizes
-whose predicted cardinality exceeds a cap (`counting.DEFAULT_BUDGET`,
-10^8, unless the caller passes another), before the first object is
-yielded.  A budget of None means no cap.
+They are lazy and deterministic.  Before the first object, one budget
+guard reads the walk's sizes at orders 1, 2, ..., n (for words |Q_m^k|,
+the running product of ik + 1; for partitions the flattened totals) and
+refuses at the first past a cap (`counting.DEFAULT_BUDGET`, 10^8, unless
+the caller passes another; None means no cap).  Sizes never decrease with
+the order, so it refuses exactly the walks whose order-n size passes the
+cap, and computes no size past the crossing.
 
 Q_n^k is walked by insertion: every word of order m comes from a word of
 order m-1 by inserting the block m^k into one of its (m-1)k + 1 gaps.  The
@@ -25,18 +28,18 @@ w = u m^k v; every run leader of u v is a leader of w, in the same order,
 because deleting the block at most merges v's first run into u's last.
 So a word that fails the condition at order m has no flattened
 descendant, and dropping it leaves the surviving words in the order the
-full walk yields them.  The budget guard still counts all of Q_n^k, now an
+full walk yields them.  The budget guard still counts all of Q_m^k, an
 upper bound on the pruned walk.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, count, product
+from operator import mul
 from typing import Iterator
 
-from . import counting
 from .bijection import _phi_letters
-from .counting import DEFAULT_BUDGET, _check_nk, predicted_stirling_count
+from .counting import DEFAULT_BUDGET, _check_nk, _flattened_total_stream
 from .errors import BudgetExceededError
 from .partitions import ColoredPartition, _trusted_partition
 from .words import StirlingWord, _leaders_weakly_increase, _trusted_word
@@ -44,12 +47,16 @@ from .words import StirlingWord, _leaders_weakly_increase, _trusted_word
 SetPartition = tuple[tuple[int, ...], ...]  # blocks ascending by minimum
 
 
-def _check_budget(predicted: int, budget: int | None, what: str) -> None:
-    if budget is not None and predicted > budget:
-        raise BudgetExceededError(
-            f"predicted |{what}| = {predicted} exceeds budget {budget}; "
-            "pass budget=None (--force on the command line) to lift it"
-        )
+def _check_budget(sizes: Iterator[int], n: int, budget: int | None, what: str) -> None:
+    """Refuse the walk over `what` at the first of orders 1..n whose size passes the budget."""
+    if budget is None:
+        return
+    for m, size in zip(range(1, n + 1), sizes):  # the range stops first
+        if size > budget:
+            raise BudgetExceededError(
+                f"walk over {what} passes budget {budget} at order {m}, with {size} "
+                "objects; pass budget=None (--force on the command line) to lift it"
+            )
 
 
 def gen_stirling(
@@ -62,13 +69,9 @@ def gen_stirling(
     right, so the stream order is deterministic.
     """
     _check_nk(n, k)
-    _check_stirling_budget(n, k, budget)
+    _check_budget(accumulate(count(1, k), mul), n, budget, f"Q_{n}^{k}")
     for letters in _stirling_letters(n, k):
         yield _trusted_word(letters, n, k)
-
-
-def _check_stirling_budget(n: int, k: int, budget: int | None) -> None:
-    _check_budget(predicted_stirling_count(n, k), budget, f"Q_{n}^{k}")
 
 
 def _stirling_letters(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -100,13 +103,13 @@ def gen_flattened(
     leaders fail to weakly increase at the order where it appears: a word
     that is not flattened has no flattened descendant (module docstring),
     so it yields the flattened words of `gen_stirling`'s stream in that
-    stream's order.  Its budget is checked against |Q_n^k|.  via="bijection" maps the
-    good-partition stream through phi.  The two routes must agree as sets
-    and the test suite holds them to that.
+    stream's order.  Its budget is checked against |Q_m^k|.  via="bijection"
+    maps the good-partition stream through phi.  The two routes must agree
+    as sets and the test suite holds them to that.
     """
     _check_nk(n, k)
     if via == "filter":
-        _check_stirling_budget(n, k, budget)
+        _check_budget(accumulate(count(1, k), mul), n, budget, f"Q_{n}^{k}")
         words: Iterator[tuple[int, ...]] = iter([()])
         for m in range(1, n + 1):
             words = filter(_leaders_weakly_increase, _insert_block(words, (m,) * k))
@@ -132,8 +135,7 @@ def gen_gcp(
     partitions whose first block is {1}.
     """
     _check_nk(n, k)
-    predicted = counting.count_flattened_recurrence(n, k)
-    _check_budget(predicted, budget, f"GCP_{k}({n})")
+    _check_budget(_flattened_total_stream(k), n, budget, f"GCP_{k}({n})")
     for blocks in _set_partitions(n):
         slots: list[range] = []
         for bi, block in enumerate(blocks):

@@ -8,7 +8,8 @@ them all and fails on any mismatch.
 Reference constants below are regression anchors; every one of them is
 recomputed from scratch by the brute-force oracle inside these checks.
 A check over a range of orders reads its totals from one triangle pass per
-k; checks share only the memo of brute-force run distributions.
+k; checks share only the memo of brute-force run distributions.  Every walk
+has a fixed size, at most |Q_8^2|, far under the generators' default cap.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class CheckResult(NamedTuple):
 class VerifyLimits(NamedTuple):
     max_n: int = 8
     max_k: int = 4
-    budget: int | None = counting.DEFAULT_BUDGET
     offline_oeis: bool = False
     cache_dir: str | None = None
     oeis_timeout: float = oeis.DEFAULT_TIMEOUT
@@ -75,9 +75,7 @@ class _State:
     def distribution(self, n: int, k: int) -> counting.CountTableRow:
         key = (n, k)
         if key not in self._distributions:
-            self._distributions[key] = counting.run_distribution_bruteforce(
-                n, k, budget=self.limits.budget
-            )
+            self._distributions[key] = counting.run_distribution_bruteforce(n, k)
         return self._distributions[key]
 
 
@@ -151,7 +149,7 @@ def _check_run_refinement(state: _State) -> str:
             f"run refinement at n={n}: {row.run_refined} != {REFERENCE_RUNS_K2[n]}",
         )
         _expect(row.total == REFERENCE_TOTALS_K2[n], f"total mismatch at n={n}")
-        predicted = enumeration.predicted_stirling_count(n, 2)
+        predicted = counting.predicted_stirling_count(n, 2)
         _expect(
             predicted == REFERENCE_STIRLING_TOTALS_K2[n],
             f"|Q_{n}^2| predicted {predicted}",
@@ -160,11 +158,10 @@ def _check_run_refinement(state: _State) -> str:
 
 
 def _check_round_trip(state: _State) -> str:
-    budget = state.limits.budget
     checked = 0
     for k in range(1, min(state.limits.max_k, 4) + 1):
         for n in range(1, min(state.limits.max_n, 6) + 1):
-            for p in enumeration.gen_gcp(n, k, budget=budget):
+            for p in enumeration.gen_gcp(n, k):
                 # per-object checks build their message only on failure
                 w = bijection.phi(p)
                 try:  # phi_inverse's gate is the flattened check
@@ -176,8 +173,8 @@ def _check_round_trip(state: _State) -> str:
                 checked += 1
     for k, n_top in ((2, 6), (3, 5)):
         for n in range(1, min(state.limits.max_n, n_top) + 1):
-            image = {bijection.phi(p) for p in enumeration.gen_gcp(n, k, budget=budget)}
-            filtered = set(enumeration.gen_flattened(n, k, budget=budget))
+            image = {bijection.phi(p) for p in enumeration.gen_gcp(n, k)}
+            filtered = set(enumeration.gen_flattened(n, k))
             _expect(
                 image == filtered,
                 f"phi image differs from the flattened subset at n={n}, k={k}",
@@ -221,7 +218,7 @@ def _check_descent_polynomials(state: _State) -> str:
         egf = series.descent_egf(k, top - 1)
         for n in range(1, top + 1):
             extracted = series.extract_descent_polynomial(egf, n - 1)
-            brute = analysis.descent_polynomial_bruteforce(n, k, budget=state.limits.budget)
+            brute = analysis.descent_polynomial_bruteforce(n, k)
             _expect(
                 extracted == brute,
                 f"descent polynomial at n={n}, k={k}: {extracted.coeffs} != {brute.coeffs}",
@@ -321,13 +318,12 @@ def _check_oeis(state: _State) -> str:
 
 
 def _check_properties(state: _State) -> str:
-    budget = state.limits.budget
     total_words = 0
     for k in range(1, min(state.limits.max_k, 3) + 1):
         for n in range(1, min(state.limits.max_n, 6) + 1):
             bound = counting.max_runs_bound(n, k)
             seen_runs = 0
-            for w in enumeration.gen_stirling(n, k, budget=budget):
+            for w in enumeration.gen_stirling(n, k):
                 # per-object checks build their message only on failure
                 s = words.word_stats(w)
                 if s.runs != s.descents + 1:
@@ -340,7 +336,7 @@ def _check_properties(state: _State) -> str:
                         raise AssertionError(f"run bound violated at n={n}, k={k}")
                     seen_runs = max(seen_runs, s.runs)
             _expect(seen_runs == bound, f"run bound not attained at n={n}, k={k}")
-            for p in enumeration.gen_gcp(n, k, budget=budget):
+            for p in enumeration.gen_gcp(n, k):
                 if block_descent_count(p) != words.word_stats(bijection.phi(p)).descents:
                     raise AssertionError(f"descent transport failed for {p.to_text()}")
     return f"statistic identities hold on {total_words} enumerated words"

@@ -255,6 +255,11 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--n", "30", "--k", "2")
         assert code == 3
         assert err.startswith("error: budget:")
+        # the guard stops at the first order past the cap: one short line
+        code, _, err = run(capsys, "enumerate", "--n", "2000", "--k", "2", "--as", "partitions")
+        assert code == 3
+        assert err.startswith("error: budget:")
+        assert err.count("\n") == 1 and len(err) < 200
 
     def test_force(self, capsys):
         code, out, _ = run(
@@ -613,7 +618,6 @@ class TestConfig:
             ["enumerate", "--n", "3", "--k", "2"],
             ["count", "--n", "3", "--k", "2", "--method", "bruteforce"],
             ["poly", "--n", "3", "--k", "2", "--method", "bruteforce"],
-            ["verify", "--offline", "--max-n", "2"],
         ],
         ids=lambda argv: argv[0],
     )
@@ -634,6 +638,15 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 12
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_budget_setting_does_not_reach_verify(self, capsys, tmp_path, monkeypatch):
+        """verify's walks have fixed sizes under the default cap, so a configured
+        budget, however small, does not fail its checks."""
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("FLATSTIR_BUDGET", "1")
+        code, out, _ = run(capsys, "verify", "--offline", "--max-n", "2")
+        assert code == 0
+        assert out.count("PASS") == 12
 
     @pytest.mark.parametrize("flag", ["--max-n", "--max-k"])
     def test_limit0_names_the_flag(self, capsys, flag):

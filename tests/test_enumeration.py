@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import pytest
@@ -19,11 +20,13 @@ from flatstir import (
     predicted_stirling_count,
     run_distribution_bruteforce,
 )
+from flatstir.counting import flattened_totals
 from flatstir.enumeration import _set_partitions
 from flatstir.partitions import first_failed_rule
 
 STIRLING_COUNTS_K2 = [1, 3, 15, 105, 945]  # n = 1..5
 SMALL = [(n, k) for n in range(1, 6) for k in range(1, 4)]
+BUDGET_GRID = [(n, k) for n in range(1, 9) for k in range(1, 5)]
 
 
 class TestStirlingGenerator:
@@ -215,10 +218,42 @@ class TestTrustedConstruction:
         assert list(gen_flattened(n, k, via="bijection")) == expected
 
 
+def _refuses_exactly_past(gen, n, k, size, **route):
+    """gen(n, k) refuses at budget size - 1 and yields its first object at size."""
+    with pytest.raises(BudgetExceededError):
+        next(gen(n, k, budget=size - 1, **route))
+    next(gen(n, k, budget=size, **route))
+
+
+def _lines_run(fn, cap=10_000):
+    """The Python lines that fn() runs, counted by a tracer that stops it past cap."""
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        if lines > cap:
+            raise RuntimeError(f"more than {cap} lines run")
+        return tracer
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(old)
+    return lines
+
+
 class TestBudget:
     def test_stirling_over_budget(self):
         with pytest.raises(BudgetExceededError):
             next(gen_stirling(2, 2, budget=2))
+        # both walks over Q_n^k are guarded by the Stirling count
+        for n, k in BUDGET_GRID:
+            size = predicted_stirling_count(n, k)
+            _refuses_exactly_past(gen_stirling, n, k, size)
+            _refuses_exactly_past(gen_flattened, n, k, size, via="filter")
 
     def test_force_overrides(self):
         assert sum(1 for _ in gen_stirling(2, 2, budget=None)) == 3
@@ -239,6 +274,9 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             next(gen_flattened(4, 2, via="bijection", budget=size - 1))
         assert sum(1 for _ in gen_flattened(4, 2, via="bijection", budget=size)) == size
+        for k in range(1, 5):
+            for n, size in enumerate(flattened_totals(k, 8), start=1):
+                _refuses_exactly_past(gen_flattened, n, k, size, via="bijection")
 
     @pytest.mark.parametrize("tally", [run_distribution_bruteforce, descent_polynomial_bruteforce])
     @pytest.mark.parametrize("n,k", [(4, 2), (3, 3)])
@@ -251,3 +289,27 @@ class TestBudget:
     def test_gcp_over_budget(self):
         with pytest.raises(BudgetExceededError):
             next(gen_gcp(5, 2, budget=10))
+        for k in range(1, 5):
+            for n, size in enumerate(flattened_totals(k, 8), start=1):
+                _refuses_exactly_past(gen_gcp, n, k, size)
+
+    def test_refusal_stops_at_the_order_past_the_cap(self):
+        """The guard reads sizes up to the first one past the cap and no further,
+        so a refusal costs the same at n = 40 as at n = 10^5, and names that order."""
+        with pytest.raises(BudgetExceededError) as info:
+            next(gen_gcp(40, 2))
+        message = str(info.value)
+        # f(11) = 16,430,176 <= 10^8 < f(12) = 157,554,048
+        assert "at order 12, with 157554048 objects" in message
+        assert "GCP_2(40)" in message and "budget=None" in message
+        assert len(message) < 200
+
+        def refusal_lines(gen, n):
+            def refuse():
+                with pytest.raises(BudgetExceededError):
+                    next(gen(n, 2))
+
+            return _lines_run(refuse)
+
+        for gen in (gen_gcp, gen_stirling):
+            assert refusal_lines(gen, 10**5) == refusal_lines(gen, 40)
