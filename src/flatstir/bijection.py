@@ -16,7 +16,11 @@ copy, a larger letter takes that count as its color, and a smaller letter
 is the minimum of the next block to the left.  In a Stirling word a copy
 of alpha never lies between two copies of a larger letter, so every copy
 of that letter gets the same count.  A flattened word starts with 1, so
-the first block never gets color k.
+the first block never gets color k.  The scan fills two flat arrays
+indexed by element, its block minimum and its color; a pass over
+e = 1..n then appends (e, color) to the block of its minimum, which
+yields the blocks by increasing minimum and each block ascending: the
+standard notation, with no sort.
 
 The right-to-left gap numbering is load-bearing; it is pinned by the
 worked-example regression test.
@@ -24,9 +28,13 @@ worked-example regression test.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import MalformedWordError, NotFlattenedError
 from .partitions import ColoredPartition, _trusted_partition, require_good
 from .words import StirlingWord, _trusted_word, is_flattened
+
+_color = itemgetter(1)  # a block's (element, color) pair -> its color
 
 
 def phi(p: ColoredPartition) -> StirlingWord:
@@ -36,20 +44,23 @@ def phi(p: ColoredPartition) -> StirlingWord:
 
 
 def _phi_letters(p: ColoredPartition) -> tuple[int, ...]:
-    """The letters of phi(p), for a partition the caller knows is good."""
+    """The letters of phi(p), for a partition the caller knows is good.
+
+    Each block is laid out from one stable sort of its non-minimum
+    elements by color, descending, so the elements of one gap stay in
+    increasing order; one copy of the minimum closes each gap passed.
+    """
     k = p.k
     out: list[int] = []
     for block in p.blocks:
         minimum = block[0][0]
-        if len(block) == 1:
-            out.extend([minimum] * k)
-            continue
-        gaps: list[list[int]] = [[] for _ in range(k + 1)]  # index 1..k
-        for x, color in block[1:]:
-            gaps[color].extend([x] * k)
-        for i in range(k, 0, -1):
-            out.extend(gaps[i])
-            out.append(minimum)
+        gap = k
+        for x, color in sorted(block[1:], key=_color, reverse=True):
+            while gap > color:
+                out.append(minimum)
+                gap -= 1
+            out += [x] * k
+        out += [minimum] * gap
     return tuple(out)
 
 
@@ -63,17 +74,29 @@ def phi_inverse(w: StirlingWord) -> ColoredPartition:
         raise NotFlattenedError("run leaders are not weakly increasing; word is not flattened")
     if w.is_empty:
         raise MalformedWordError("the empty word has no partition image")
-    blocks: list[dict[int, int]] = []  # element -> color, right to left
-    alpha, seen = w.order + 1, 0
+    n = w.order
+    minimum = [0] * (n + 1)  # element -> its block minimum
+    color = [1] * (n + 1)  # element -> its color; a block minimum keeps 1
+    alpha, seen = n + 1, 0
     for v in reversed(w.letters):
         if v == alpha:
             seen += 1
         elif v > alpha:
-            blocks[-1][v] = seen
+            minimum[v] = alpha
+            color[v] = seen
         else:
             alpha, seen = v, 1
-            blocks.append({v: 1})
-    # the scan met the blocks by decreasing minimum and their elements in
-    # no order; good by construction, since w is flattened
-    standard = tuple(tuple(sorted(b.items())) for b in reversed(blocks))
-    return _trusted_partition(w.order, w.multiplicity, standard)
+            minimum[v] = v
+    # each block opens at its minimum and grows in element order, so the
+    # blocks come out in standard notation; good by construction, since w
+    # is flattened
+    blocks: list[list[tuple[int, int]] | None] = [None] * (n + 1)  # by minimum
+    standard = []
+    for e in range(1, n + 1):
+        m = minimum[e]
+        if m == e:
+            block = blocks[e] = [(e, 1)]
+            standard.append(block)
+        else:
+            blocks[m].append((e, color[e]))
+    return _trusted_partition(n, w.multiplicity, tuple(map(tuple, standard)))

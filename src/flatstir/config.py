@@ -4,8 +4,10 @@ Precedence: command-line flags > environment variables > config file >
 built-in defaults.  The config file is flat "key = value" text; '#' starts
 a comment.  Recognized keys: budget, truncation_order, oeis_timeout,
 cache_dir.  budget and truncation_order must be >= 0, oeis_timeout finite
-and > 0.  The OEIS client's defaults (fetch timeout, cache directory) live
-here, so resolving a config does not load the client.
+and > 0.  The OEIS client's defaults (fetch timeout, cache directory) and
+the enumeration cap (`DEFAULT_BUDGET`, which `counting`, `enumeration` and
+`analysis` import from here) live here, so resolving a config loads
+neither the client nor any counting route.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ import math
 import os
 from collections.abc import Mapping
 
-from .counting import DEFAULT_BUDGET
 from .errors import FlatstirError
 
 ENV_PREFIX = "FLATSTIR_"
 _KEYS = ("budget", "truncation_order", "oeis_timeout", "cache_dir")
 DEFAULT_TIMEOUT = 10.0  # a b-file fetch's socket timeout, in seconds
+DEFAULT_BUDGET = 10**8  # the enumeration size cap; None lifts it
 
 
 def default_cache_dir(env: Mapping[str, str] = os.environ) -> str:

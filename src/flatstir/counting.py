@@ -32,12 +32,12 @@ from math import comb, factorial, prod
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
+from .config import DEFAULT_BUDGET
 from .errors import ConvergenceError, DomainError
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-DEFAULT_BUDGET = 10**8  # the enumeration size cap; None lifts it
 SERIES_MAX_TERMS = 10000  # the series route's term cap, read at call time
 
 

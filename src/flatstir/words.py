@@ -24,9 +24,11 @@ the constructor after validating or by `_trusted_word` without;
 
 The per-word operations are written for the brute-force walks, which call
 them tens of thousands of times: the multiset check is one comparison
-against the sorted letters, `WordStats` is a named tuple, and
-`is_valid_stirling` keeps its per-value copy counts in one flat list
-indexed by letter, so it allocates nothing per value.
+against the sorted letters; `word_stats` builds its `WordStats` named
+tuple through `tuple.__new__` (`_new_stats`, bound once like the slot
+setters), which skips the generated `__new__`; and `is_valid_stirling`
+keeps its per-value copy counts and its stack of open values in flat
+lists indexed by letter, so it allocates nothing per value.
 """
 
 from __future__ import annotations
@@ -131,6 +133,10 @@ class WordStats(NamedTuple):
     ascents: int
 
 
+# builds a WordStats from its four counts past the generated __new__
+_new_stats = tuple.__new__
+
+
 def parse_word(text: str, multiplicity: int) -> StirlingWord:
     """Parse the space-separated letter format; the order is the largest letter."""
     try:
@@ -177,27 +183,28 @@ def is_valid_stirling(w: StirlingWord) -> bool:
     Single left-to-right scan.  The stack holds values whose copies are
     still open (some but not all k copies seen); it is strictly increasing
     bottom to top, so a new letter below the top lies between two copies
-    of the top value and violates the condition.  The top is kept in a
-    scalar, a 0 at the bottom of the stack stands below every letter, and
-    the copies seen of each open value are counted in the flat list
-    `seen`, indexed by letter.
+    of the top value and violates the condition.  The stack is kept as
+    links in the flat list `below`, indexed by letter: the top is a
+    scalar, `below[v]` is the open value under v, and a 0 at the bottom
+    stands below every letter, so a push or a pop is one index store or
+    load.  The copies seen of each open value are counted in the flat
+    list `seen`, indexed by letter.
     """
     k = w.multiplicity
     if k == 1:
         return True
     seen = [0] * (w.order + 1)
-    stack = [0]
+    below = [0] * (w.order + 1)
     top = 0
     for v in w.letters:
         if v == top:
             copies = seen[v] + 1
             if copies == k:
-                stack.pop()
-                top = stack[-1]
+                top = below[v]
             else:
                 seen[v] = copies
         elif v > top:
-            stack.append(v)
+            below[v] = top
             top = v
             seen[v] = 1
         else:
@@ -242,7 +249,7 @@ def word_stats(w: StirlingWord) -> WordStats:
     """
     letters = w.letters
     if not letters:
-        return WordStats(0, 0, 0, 0)
+        return _new_stats(WordStats, (0, 0, 0, 0))
     descents = plateaus = ascents = 0
     prev = letters[0]
     for v in letters[1:]:
@@ -253,4 +260,4 @@ def word_stats(w: StirlingWord) -> WordStats:
         else:
             ascents += 1
         prev = v
-    return WordStats(descents, descents + 1, plateaus, ascents)
+    return _new_stats(WordStats, (descents, descents + 1, plateaus, ascents))

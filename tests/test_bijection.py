@@ -94,6 +94,38 @@ class TestRoundTrip:
             assert word_stats(phi(p)).descents == block_descent_count(p)
 
 
+def phi_by_insertion(p):
+    """phi from the paper's construction, independent of `_phi_letters`.
+
+    Each block starts as the k copies of its minimum.  Gap i is the gap
+    just left of the copy with i copies at or right of it, so gaps k..1 run
+    right to left; each other element, in increasing order, puts its k
+    copies at the right end of its color's gap.
+    """
+    letters = []
+    for block in p.blocks:
+        minimum = block[0][0]
+        sub = [minimum] * p.k
+        for x, color in block[1:]:
+            copies = [i for i, v in enumerate(sub) if v == minimum]
+            end = copies[-color]
+            sub[end:end] = [x] * p.k
+        letters += sub
+    return tuple(letters)
+
+
+def test_phi_is_the_gap_construction():
+    checked = 0
+    for k in range(1, 5):
+        for n in range(1, 7):
+            for p in gen_gcp(n, k):
+                letters = phi_by_insertion(p)
+                assert phi(p).letters == letters, p.to_text()
+                assert phi_inverse(StirlingWord(letters, n, k)) == p, p.to_text()
+                checked += 1
+    assert checked == 14822
+
+
 def random_good_partition(rng, n, k):
     """A good partition drawn element by element: each element joins a
     random existing block or opens a new one, then takes a legal color."""

@@ -753,8 +753,9 @@ def _loaded_by_command(argv, modules, stdin=""):
 @pytest.mark.parametrize("argv,stdin,unused", [
     (["count", "--n", "5", "--k", "2"], "",
      ("analysis", "series", "enumeration", "bijection", "oeis")),
+    # the budget default lives in config, so the one route without counting skips it
     (["bijection", "--direction", "inverse", "--k", "2"], "1 1\n",
-     ("analysis", "series", "enumeration", "oeis")),
+     ("analysis", "series", "enumeration", "oeis", "counting")),
     # |Q_n^k| is a product, not an enumeration
     (["table", "--k", "2", "--max-n", "4"], "", ("enumeration", "bijection")),
 ], ids=["count", "bijection", "table"])

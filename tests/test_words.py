@@ -8,6 +8,7 @@ from flatstir import (
     MalformedWordError,
     NotStirlingError,
     StirlingWord,
+    WordStats,
     gen_stirling,
     is_flattened,
     is_valid_stirling,
@@ -157,9 +158,10 @@ def arrangements(n, k):
     return extend()
 
 
-@pytest.mark.parametrize(
-    "n,k", [(3, 2), (2, 3), (4, 1), (2, 4), (3, 3), (4, 2), (2, 5)]
-)
+ARRANGEMENT_CASES = [(3, 2), (2, 3), (4, 1), (2, 4), (3, 3), (4, 2), (2, 5)]
+
+
+@pytest.mark.parametrize("n,k", ARRANGEMENT_CASES)
 def test_stirling_check_against_naive_oracle(n, k):
     """Compare the one-scan check with the definition applied literally."""
     perms = list(arrangements(n, k))
@@ -167,6 +169,19 @@ def test_stirling_check_against_naive_oracle(n, k):
     for perm in perms:
         w = StirlingWord(perm, n, k)
         assert is_valid_stirling(w) == naive_is_stirling(perm, n), perm
+
+
+@pytest.mark.parametrize("n,k", ARRANGEMENT_CASES)
+def test_word_stats_counts_adjacent_pairs(n, k):
+    """Compare the one-scan counts with the adjacent pairs, Stirling or not."""
+    for perm in arrangements(n, k):
+        s = word_stats(StirlingWord(perm, n, k))
+        pairs = list(zip(perm, perm[1:]))
+        descents = sum(a > b for a, b in pairs)
+        plateaus = sum(a == b for a, b in pairs)
+        ascents = sum(a < b for a, b in pairs)
+        assert type(s) is WordStats
+        assert s == (descents, descents + 1, plateaus, ascents), perm
 
 
 @st.composite
