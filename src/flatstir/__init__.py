@@ -25,8 +25,7 @@ _EXPORTS = {
                "DomainError", "FlatstirError", "MalformedPartitionError", "MalformedWordError",
                "NotFlattenedError", "NotStirlingError", "PartitionRuleError"),
     "oeis": ("CrossCheckReport", "cross_check"),
-    "partitions": ("ColoredPartition", "block_descent_count", "good_partition",
-                   "parse_partition"),
+    "partitions": ("ColoredPartition", "block_descent_count", "parse_partition"),
     "series": ("EgfSeries", "IntPolynomial", "descent_egf", "egf_flattened",
                "extract_descent_polynomial"),
     "words": ("StirlingWord", "WordStats", "is_flattened", "is_valid_stirling", "parse_word",

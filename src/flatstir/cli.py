@@ -47,9 +47,8 @@ EXIT_DATA = 4
 ENUMERATE_CHUNK_LINES = 1024
 
 # Every integer flag's floor, in the order `main` checks them; a subcommand
-# overrides one through a `floors` default.  `--precision-bits` has its floor
-# only under the series route, which checks it.
-_FLAG_FLOORS = (("k", 1), ("budget", 0), ("order", 0), ("n", 1), ("max_n", 1), ("max_k", 1))
+# overrides one through a `floors` default.
+_FLAG_FLOORS = (("k", 1), ("budget", 0), ("order", 0), ("n", 1), ("max_n", 1))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -62,8 +61,9 @@ def main(argv: list[str] | None = None) -> int:
         floors = getattr(args, "floors", {})
         for flag, least in _FLAG_FLOORS:  # wherever the command has the flag
             value = getattr(args, flag, None)
-            if value is not None:
-                _require_at_least("--" + flag.replace("_", "-"), value, floors.get(flag, least))
+            least = floors.get(flag, least)
+            if value is not None and value < least:  # name the user's flag, not a derived value
+                raise DomainError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
         from .config import load_config
 
         cfg = load_config(args.config)
@@ -138,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("recurrence", "identity", "egf", "series-approx", "bruteforce"),
         default="recurrence",
     )
-    p.add_argument("--precision-bits", type=int, default=128)
     p.add_argument("--budget", type=int)
     p.add_argument("--force", action="store_true")
     p.set_defaults(handler=cmd_count)
@@ -166,13 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("egf", help="print exact rational EGF coefficients")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, default=None, help="truncation order N")
+    p.add_argument("--order", type=int, default=32, help="truncation order N")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_egf)
 
     p = sub.add_parser("verify", help="run the full cross-validation suite")
     p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--max-k", type=int, default=4)
     p.add_argument("--offline", action="store_true", help="skip network fetches")
     p.set_defaults(handler=cmd_verify)
 
@@ -191,12 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_conjecture)
 
     return parser
-
-
-def _require_at_least(flag: str, value: int, least: int) -> None:
-    """Name the user's flag, not a value derived from it."""
-    if value < least:
-        raise DomainError(f"{flag} must be >= {least}, got {value}")
 
 
 def _budget(args: argparse.Namespace, cfg: Config) -> int | None:
@@ -242,10 +234,7 @@ def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
         egf = series.egf_flattened(args.k, args.n - 1)
         print(egf.egf_coefficient(args.n - 1))
     elif args.method == "series-approx":
-        _require_at_least("--precision-bits", args.precision_bits, 64)
-        approx, rounded = counting.count_flattened_series_approx(
-            args.n - 1, args.k, args.precision_bits
-        )
+        approx, rounded = counting.count_flattened_series_approx(args.n - 1, args.k)
         print(rounded)
         import decimal  # local import: only this route prints a decimal
 
@@ -337,11 +326,11 @@ def cmd_egf(args: argparse.Namespace, cfg: Config) -> int:
 
     from . import series
 
-    order = args.order if args.order is not None else cfg.truncation_order
-    egf = series.egf_flattened(args.k, order)
-    fractions = [str(Fraction(egf.egf_coefficient(n), factorial(n))) for n in range(order + 1)]
+    egf = series.egf_flattened(args.k, args.order)
+    fractions = [str(Fraction(egf.egf_coefficient(n), factorial(n)))
+                 for n in range(args.order + 1)]
     if args.format == "json":
-        _print_json({"k": args.k, "order": order, "coefficients": fractions})
+        _print_json({"k": args.k, "order": args.order, "coefficients": fractions})
     else:
         for n, text in enumerate(fractions):
             print(f"{n} {text}")
@@ -353,7 +342,6 @@ def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
 
     limits = VerifyLimits(
         max_n=args.max_n,
-        max_k=args.max_k,
         offline_oeis=args.offline,
         cache_dir=cfg.cache_dir,
         oeis_timeout=cfg.oeis_timeout,

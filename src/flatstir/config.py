@@ -2,12 +2,15 @@
 
 Precedence: command-line flags > environment variables > config file >
 built-in defaults.  The config file is flat "key = value" text; '#' starts
-a comment.  Recognized keys: budget, truncation_order, oeis_timeout,
-cache_dir.  budget and truncation_order must be >= 0, oeis_timeout finite
-and > 0.  The OEIS client's defaults (fetch timeout, cache directory) and
-the enumeration cap (`DEFAULT_BUDGET`, which `counting`, `enumeration` and
-`analysis` import from here) live here, so resolving a config loads
-neither the client nor any counting route.
+a comment.  Recognized keys: budget, oeis_timeout and cache_dir (a cap, a
+timeout and a path).  budget must be >= 0, oeis_timeout finite and > 0.
+An unknown key in the file is an error naming the file and line.  Of the
+`FLATSTIR_*` variables, only `FLATSTIR_CONFIG` and each key's
+`FLATSTIR_<KEY>` are read; any other is ignored.  The OEIS client's
+defaults (fetch timeout, cache directory) and the enumeration cap
+(`DEFAULT_BUDGET`, which `counting`, `enumeration` and `analysis` import
+from here) live here, so resolving a config loads neither the client nor
+any counting route.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from collections.abc import Mapping
 from .errors import FlatstirError
 
 ENV_PREFIX = "FLATSTIR_"
-_KEYS = ("budget", "truncation_order", "oeis_timeout", "cache_dir")
+_KEYS = ("budget", "oeis_timeout", "cache_dir")
 DEFAULT_TIMEOUT = 10.0  # a b-file fetch's socket timeout, in seconds
 DEFAULT_BUDGET = 10**8  # the enumeration size cap; None lifts it
 
@@ -39,7 +42,6 @@ class ConfigError(FlatstirError, ValueError):
 class Config:
     def __init__(self, env: Mapping[str, str] = os.environ):
         self.budget: int = DEFAULT_BUDGET
-        self.truncation_order: int = 32
         self.oeis_timeout: float = DEFAULT_TIMEOUT
         self.cache_dir: str = default_cache_dir(env)
 

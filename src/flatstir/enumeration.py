@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from itertools import accumulate, count, product
 from operator import mul
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .bijection import _phi_letters
 from .config import DEFAULT_BUDGET
@@ -69,17 +69,26 @@ def gen_stirling(
     m^k into one of the (m-1)k + 1 gaps; insertion position runs left to
     right, so the stream order is deterministic.
     """
-    _check_nk(n, k)
-    _check_budget(accumulate(count(1, k), mul), n, budget, f"Q_{n}^{k}")
-    for letters in _stirling_letters(n, k):
+    for letters in _word_letters(n, k, budget):
         yield _trusted_word(letters, n, k)
 
 
-def _stirling_letters(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The letters of Q_n^k in stream order: one insertion generator per order."""
+def _word_letters(
+    n: int, k: int, budget: int | None, keep: Callable[[tuple[int, ...]], bool] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The letters of Q_n^k in stream order: one insertion generator per order,
+    each wrapped in `filter(keep, ...)` when a keep-predicate is given.
+
+    A plain function, so its checks run when it is called: at the first
+    `next()` of the generator that calls it.
+    """
+    _check_nk(n, k)
+    _check_budget(accumulate(count(1, k), mul), n, budget, f"Q_{n}^{k}")
     words: Iterator[tuple[int, ...]] = iter([()])
     for m in range(1, n + 1):
         words = _insert_block(words, (m,) * k)
+        if keep is not None:
+            words = filter(keep, words)
     return words
 
 
@@ -108,13 +117,8 @@ def gen_flattened(
     maps the good-partition stream through phi.  The two routes must agree
     as sets and the test suite holds them to that.
     """
-    _check_nk(n, k)
     if via == "filter":
-        _check_budget(accumulate(count(1, k), mul), n, budget, f"Q_{n}^{k}")
-        words: Iterator[tuple[int, ...]] = iter([()])
-        for m in range(1, n + 1):
-            words = filter(_leaders_weakly_increase, _insert_block(words, (m,) * k))
-        for letters in words:
+        for letters in _word_letters(n, k, budget, _leaders_weakly_increase):
             yield _trusted_word(letters, n, k)
     elif via == "bijection":
         for p in gen_gcp(n, k, budget=budget):
@@ -158,8 +162,8 @@ def gen_gcp(
 def _set_partitions(n: int) -> Iterator[SetPartition]:
     """Set partitions of [1..n] in restricted-growth-string order.
 
-    One insertion generator per element, chained as `_stirling_letters`
-    chains orders.  Elements are placed ascending, so blocks appear ordered
+    One insertion generator per element, chained as `_word_letters` chains
+    orders.  Elements are placed ascending, so blocks appear ordered
     by their minima (standard block order) without any sorting.
     """
     partitions: Iterator[SetPartition] = iter([()])

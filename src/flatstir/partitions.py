@@ -13,9 +13,10 @@ the first block, so the first block must be exactly {1}.
 Constructors normalize arbitrary block orderings into standard notation.
 Coloring rules are a separate predicate (`first_failed_rule`) so that
 rule-breaking partitions remain representable for negative tests;
-`good_partition` builds and checks in one step, naming the first failed
-rule on error.  The constructor and the parsers (`parse_partition`,
-`partition_from_json`) validate.  The generator in `enumeration` and
+`require_good` raises naming the first failed rule.  The constructor and
+the parsers (`parse_partition`, `partition_from_json`) validate: n, k and
+every element and color must be ints (a bool, float or numeric string is
+refused, not coerced).  The generator in `enumeration` and
 `bijection.phi_inverse` build good partitions in standard notation by
 construction and go through `_trusted_partition`, so they are not
 re-validated.  Either path sets the fields only through the slots' member
@@ -34,7 +35,7 @@ still hits on most blocks (99.8 % over GCP_2(10)).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedPartitionError, PartitionRuleError
 from .words import _json_fields, _Value
@@ -50,6 +51,8 @@ class ColoredPartition(_Value):
     __slots__ = ("n", "k", "blocks")
 
     def __init__(self, n: int, k: int, blocks: Iterable[Iterable[Sequence[int]]]):
+        if type(n) is not int or type(k) is not int:  # before comparing them
+            raise MalformedPartitionError(f"n and k must be integers, got {n!r} and {k!r}")
         if n < 1 or k < 1:
             raise MalformedPartitionError("n and k must both be at least 1")
         normalized = _normalize(blocks)
@@ -102,8 +105,17 @@ def _trusted_partition(n: int, k: int, blocks: tuple[Block, ...]) -> ColoredPart
 
 
 def _normalize(blocks: Iterable[Iterable[Sequence[int]]]) -> tuple[Block, ...]:
-    inner = [tuple(sorted((int(e), int(c)) for e, c in block)) for block in blocks]
+    inner = [tuple(sorted(_int_pairs(block))) for block in blocks]
     return tuple(sorted(inner, key=lambda b: b[0][0] if b else 0))
+
+
+def _int_pairs(block: Iterable[Sequence[int]]) -> Iterator[tuple[int, int]]:
+    for e, c in block:
+        if type(e) is not int or type(c) is not int:
+            raise MalformedPartitionError(
+                f"element and color must be integers, got ({e!r}, {c!r})"
+            )
+        yield e, c
 
 
 def _check_structure(n: int, k: int, blocks: tuple[Block, ...]) -> None:
@@ -131,18 +143,7 @@ def first_failed_rule(p: ColoredPartition) -> str | None:
                 f"Rule 2: element {e} of the first block has color {c}, "
                 f"exceeding k-1 = {p.k - 1}"
             )
-    if p.k == 1 and len(p.first_block) != 1:
-        return "k=1 convention: the first block must be exactly {1}"
     return None
-
-
-def good_partition(
-    n: int, k: int, blocks: Iterable[Iterable[Sequence[int]]]
-) -> ColoredPartition:
-    """Normalize, then enforce the good-coloring rules; raises naming the rule."""
-    p = ColoredPartition(n, k, blocks)  # __init__ builds the tuples
-    require_good(p)
-    return p
 
 
 def require_good(p: ColoredPartition) -> None:

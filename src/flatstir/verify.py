@@ -61,7 +61,6 @@ class CheckResult(NamedTuple):
 
 class VerifyLimits(NamedTuple):
     max_n: int = 8
-    max_k: int = 4
     offline_oeis: bool = False
     cache_dir: str | None = None
     oeis_timeout: float = oeis.DEFAULT_TIMEOUT
@@ -159,7 +158,7 @@ def _check_run_refinement(state: _State) -> str:
 
 def _check_round_trip(state: _State) -> str:
     checked = 0
-    for k in range(1, min(state.limits.max_k, 4) + 1):
+    for k in range(1, 5):
         for n in range(1, min(state.limits.max_n, 6) + 1):
             for p in enumeration.gen_gcp(n, k):
                 # per-object checks build their message only on failure
@@ -319,7 +318,7 @@ def _check_oeis(state: _State) -> str:
 
 def _check_properties(state: _State) -> str:
     total_words = 0
-    for k in range(1, min(state.limits.max_k, 3) + 1):
+    for k in range(1, 4):
         for n in range(1, min(state.limits.max_n, 6) + 1):
             bound = counting.max_runs_bound(n, k)
             seen_runs = 0

@@ -12,7 +12,6 @@ from flatstir import (
     block_descent_count,
     gen_flattened,
     gen_gcp,
-    good_partition,
     is_flattened,
     parse_partition,
     parse_word,
@@ -39,22 +38,22 @@ class TestSmallCases:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_singletons_map_to_sorted_word(self, k):
         n = 5
-        p = good_partition(n, k, [[(e, 1)] for e in range(1, n + 1)])
+        p = ColoredPartition(n, k, [[(e, 1)] for e in range(1, n + 1)])
         one_run = StirlingWord(tuple(v for v in range(1, n + 1) for _ in range(k)), n, k)
         assert phi(p) == one_run
         assert phi_inverse(one_run) == p
 
     def test_two_in_one_block(self):
-        p = good_partition(2, 2, [[(1, 1), (2, 1)]])
+        p = ColoredPartition(2, 2, [[(1, 1), (2, 1)]])
         assert phi(p).letters == (1, 2, 2, 1)
 
     def test_inverse_of_1221(self):
         w = StirlingWord((1, 2, 2, 1), 2, 2)
-        assert phi_inverse(w) == good_partition(2, 2, [[(1, 1), (2, 1)]])
+        assert phi_inverse(w) == ColoredPartition(2, 2, [[(1, 1), (2, 1)]])
 
     def test_gap_numbering_is_right_to_left(self):
         # the color-2 element lands left of the color-1 element
-        p = good_partition(3, 3, [[(1, 1), (2, 2), (3, 1)]])
+        p = ColoredPartition(3, 3, [[(1, 1), (2, 2), (3, 1)]])
         assert phi(p).letters == (1, 2, 2, 2, 1, 3, 3, 3, 1)
 
 
@@ -137,7 +136,7 @@ def random_good_partition(rng, n, k):
             blocks.append([(e, 1)])
         else:
             blocks[i].append((e, rng.randint(1, k - 1 if i == 0 else k)))
-    return good_partition(n, k, blocks)
+    return ColoredPartition(n, k, blocks)
 
 
 class TestDomainErrors:

@@ -1,14 +1,15 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from flatstir import gen_flattened, gen_gcp
+from flatstir import gen_flattened, gen_gcp, verify
 from flatstir.cli import main
-from flatstir.config import load_config
+from flatstir.config import _KEYS, load_config
 from flatstir.verify import REFERENCE_RUNS_K2
 
 EXAMPLE_PARTITION = "1_1 2_3 4_2 6_3 | 3_1 | 5_1"
@@ -54,12 +55,12 @@ class TestCount:
         assert code == 0
         assert out == "4439679512667761787625302425489448814772224\n"
 
-    def test_low_precision_names_the_flag(self, capsys):
-        argv = ["count", "--n", "5", "--k", "2", "--method", "series-approx"]
-        code, out, err = run(capsys, *argv, "--precision-bits", "32")
-        assert code == 2
+    def test_term_cap_is_an_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("flatstir.counting.SERIES_MAX_TERMS", 5)
+        code, out, err = run(capsys, "count", "--n", "40", "--k", "2", "--method", "series-approx")
+        assert code == 1
         assert out == ""
-        assert err == "error: usage: --precision-bits must be >= 64, got 32\n"
+        assert err.startswith("error: internal: ")
 
     def test_n0_is_usage_error(self, capsys):
         code, _, err = run(capsys, "count", "--n", "0", "--k", "2")
@@ -102,6 +103,12 @@ class TestPoly:
 
 
 class TestBijection:
+    def test_empty_block_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1_1 | | 2_1\n"))
+        code, out, err = run(capsys, "bijection", "--direction", "forward", "--k", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: usage: empty block in partition text\n"
+
     def test_forward(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(EXAMPLE_PARTITION))
         code, out, _ = run(capsys, "bijection", "--direction", "forward", "--k", "4")
@@ -586,9 +593,37 @@ class TestConfig:
         assert code == 2
         assert "unknown config key" in err
 
+    def test_default_config_file_is_read(self, tmp_path):
+        (tmp_path / "flatstir.conf").write_text("budget = 7\n")
+        assert load_config(env={"XDG_CONFIG_HOME": str(tmp_path)}).budget == 7
+
+    def test_unreadable_config_names_the_path(self, capsys, tmp_path):
+        missing = tmp_path / "missing.conf"
+        code, out, err = run(capsys, "--config", str(missing), "count", "--n", "2", "--k", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: usage: cannot read config file {missing}: ")
+
+    @pytest.mark.parametrize("line,message", [
+        ("budget 5", "expected 'key = value', got 'budget 5\\n'"),
+        ("budget = lots", "bad value 'lots' for budget"),
+        ("oeis_timeout = soon", "bad value 'soon' for oeis_timeout"),
+        ("truncation_order = 5", "unknown config key 'truncation_order'"),
+    ], ids=["no-equals", "non-numeric-int", "non-numeric-float", "removed-key"])
+    def test_bad_line_names_path_and_line(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "flatstir.conf"
+        cfg.write_text(f"# first\n{line}\n")
+        code, out, err = run(capsys, "--config", str(cfg), "egf", "--k", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: usage: {cfg}:2: {message}\n"
+
+    def test_unknown_environment_variable_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("FLATSTIR_TRUNCATION_ORDER", "5")
+        code, out, _ = run(capsys, "egf", "--k", "2")
+        assert code == 0
+        assert len(out.splitlines()) == 33  # orders 0..32, the --order default
+
     BAD_SIZES = [
         ("budget", "-1", ">= 0"),
-        ("truncation_order", "-3", ">= 0"),
         ("oeis_timeout", "0", "finite and > 0"),
         ("oeis_timeout", "inf", "finite and > 0"),  # a socket timeout overflows on it
     ]
@@ -632,7 +667,7 @@ class TestVerify:
     def test_small_grid_passes(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
         code, out, _ = run(
-            capsys, "verify", "--max-n", "4", "--max-k", "3", "--offline"
+            capsys, "verify", "--max-n", "4", "--offline"
         )
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
@@ -648,7 +683,16 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 12
 
-    @pytest.mark.parametrize("flag", ["--max-n", "--max-k"])
+    def test_a_failed_check_exits_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        count = verify.block_descent_count
+        monkeypatch.setattr(verify, "block_descent_count", lambda p: count(p) + 1)
+        code, out, err = run(capsys, "verify", "--offline", "--max-n", "2")
+        assert code == 1
+        assert out.count("FAIL") == 1
+        assert err == "error: verification: 1 check(s) failed\n"
+
+    @pytest.mark.parametrize("flag", ["--max-n"])
     def test_limit0_names_the_flag(self, capsys, flag):
         code, out, err = run(capsys, "verify", "--offline", flag, "0")
         assert code == 2
@@ -689,6 +733,38 @@ class TestErrors:
         assert code == 3
         assert out == ""
         assert err.startswith("error: resource: ")
+
+
+SUBCOMMANDS = ("enumerate", "count", "table", "bijection", "poly", "egf", "verify", "oeis",
+               "conjecture")
+
+
+def _exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_cli_surface(capsys):
+    """Every help text formats, the removed flags are usage errors, and the
+    README's Configuration block lists exactly the config keys."""
+    assert _exit_code(["--help"]) == 0
+    helps = {}
+    for command in SUBCOMMANDS:
+        assert _exit_code([command, "--help"]) == 0, command
+        helps[command] = capsys.readouterr().out
+    assert "--precision-bits" not in helps["count"]
+    assert "--max-k" not in helps["verify"]
+    series = ["count", "--n", "5", "--k", "2", "--method", "series-approx"]
+    for argv in (series + ["--precision-bits", "128"], ["verify", "--max-k", "3"]):
+        assert _exit_code(argv) == 2
+        assert capsys.readouterr().out == ""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n### Configuration\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    assert tuple(line.split("=")[0].strip() for line in block.splitlines()) == _KEYS
+    for key in _KEYS:
+        assert f"`FLATSTIR_{key.upper()}`" in section, key
 
 
 def test_cli_import_does_not_load_mpmath():

@@ -16,7 +16,7 @@ EXPORTED = [
     "count_flattened_series_approx", "count_max_runs_k2", "count_runs_2", "count_runs_3",
     "count_table", "cross_check", "descent_egf", "descent_polynomial_bruteforce",
     "egf_flattened", "extract_descent_polynomial", "gen_flattened", "gen_gcp", "gen_stirling",
-    "good_partition", "is_flattened", "is_real_rooted", "is_unimodal", "is_valid_stirling",
+    "is_flattened", "is_real_rooted", "is_unimodal", "is_valid_stirling",
     "max_runs_bound", "parse_partition", "parse_word", "phi", "phi_inverse",
     "predicted_stirling_count", "run_distribution_bruteforce", "word_stats",
 ]

@@ -8,7 +8,6 @@ from flatstir import (
     PartitionRuleError,
     block_descent_count,
     gen_gcp,
-    good_partition,
     parse_partition,
     partitions,
     phi,
@@ -47,17 +46,20 @@ class TestValidate:
 
 
 class TestGoodPartitionConstructor:
+    """The constructor builds a partition; `require_good` checks the rules."""
+
     def test_builds_good(self):
-        p = good_partition(2, 2, [[(1, 1), (2, 1)]])
+        p = ColoredPartition(2, 2, [[(1, 1), (2, 1)]])
+        partitions.require_good(p)
         assert p.blocks == (((1, 1), (2, 1)),)
 
     def test_raises_naming_rule_2(self):
         with pytest.raises(PartitionRuleError, match="Rule 2"):
-            good_partition(2, 2, [[(1, 1), (2, 2)]])
+            partitions.require_good(ColoredPartition(2, 2, [[(1, 1), (2, 2)]]))
 
     def test_raises_naming_rule_1(self):
         with pytest.raises(PartitionRuleError, match="Rule 1"):
-            good_partition(2, 3, [[(1, 1)], [(2, 3)]])
+            partitions.require_good(ColoredPartition(2, 3, [[(1, 1)], [(2, 3)]]))
 
 
 class TestStructure:
@@ -76,6 +78,27 @@ class TestStructure:
     def test_empty_block(self):
         with pytest.raises(MalformedPartitionError):
             ColoredPartition(1, 1, (((1, 1),), ()))
+
+    def test_empty_block_in_text(self):
+        with pytest.raises(MalformedPartitionError, match="empty block"):
+            parse_partition("1_1 | | 2_1", 2)
+
+    # int() would read 2.9 as 2, True as 1 and "2" as 2, and fail on "x" with a bare ValueError
+    @pytest.mark.parametrize(
+        "pair", [(2.9, 1.7), (2, True), ("2", 1), ("x", 1)],
+        ids=["float", "bool", "numeric-string", "string"],
+    )
+    def test_element_and_color_must_be_ints(self, pair):
+        with pytest.raises(MalformedPartitionError, match="must be integers"):
+            ColoredPartition(2, 2, [[(1, 1), pair]])
+
+    @pytest.mark.parametrize(
+        "n,k", [("2", 2), (2, "2"), (2.0, 2), (True, 2), (1, True)],
+        ids=["n-string", "k-string", "n-float", "n-bool", "k-bool"],
+    )
+    def test_n_and_k_must_be_ints(self, n, k):
+        with pytest.raises(MalformedPartitionError, match="n and k must be integers"):
+            ColoredPartition(n, k, [[(1, 1)]])
 
     def test_huge_n_is_refused_before_building_the_range(self):
         # comparing against [1..10**12] element by element would take terabytes
@@ -113,7 +136,7 @@ class TestBlockDescentCount:
         assert block_descent_count(p) == 2
 
     def test_all_singletons(self):
-        p = good_partition(4, 3, [[(1, 1)], [(2, 1)], [(3, 1)], [(4, 1)]])
+        p = ColoredPartition(4, 3, [[(1, 1)], [(2, 1)], [(3, 1)], [(4, 1)]])
         assert block_descent_count(p) == 0
 
     def test_two_blocks(self):
@@ -128,7 +151,7 @@ class TestSerialization:
         assert parse_partition(p.to_text(), 4) == p
 
     def test_text_format(self):
-        p = good_partition(2, 2, [[(1, 1), (2, 1)]])
+        p = ColoredPartition(2, 2, [[(1, 1), (2, 1)]])
         assert p.to_text() == "1_1 2_1"
 
     def test_json_round_trip(self):

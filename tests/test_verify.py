@@ -10,7 +10,7 @@ from flatstir.words import parse_word
 
 
 def _details(tmp_path):
-    limits = verify.VerifyLimits(max_n=2, max_k=2, offline_oeis=True, cache_dir=str(tmp_path))
+    limits = verify.VerifyLimits(max_n=2, offline_oeis=True, cache_dir=str(tmp_path))
     return {r.name: (r.ok, r.detail) for r in verify.run_verification(limits)}
 
 
