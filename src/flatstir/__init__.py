@@ -16,10 +16,10 @@ _EXPORTS = {
     "bijection": ("phi", "phi_inverse"),
     "config": ("DEFAULT_BUDGET",),
     "counting": ("CountContext", "CountTable", "CountTableRow", "bell_number",
-                 "count_flattened_identity", "count_flattened_recurrence",
-                 "count_flattened_series_approx", "count_max_runs_k2", "count_runs_2",
-                 "count_runs_3", "count_table", "max_runs_bound", "predicted_stirling_count",
-                 "run_distribution_bruteforce"),
+                 "count_flattened_dobinski", "count_flattened_identity",
+                 "count_flattened_recurrence", "count_flattened_series_approx",
+                 "count_max_runs_k2", "count_runs_2", "count_runs_3", "count_table",
+                 "max_runs_bound", "predicted_stirling_count", "run_distribution_bruteforce"),
     "enumeration": ("gen_flattened", "gen_gcp", "gen_stirling"),
     "errors": ("AlignmentError", "BFileParseError", "BudgetExceededError", "ConvergenceError",
                "DomainError", "FlatstirError", "MalformedPartitionError", "MalformedWordError",

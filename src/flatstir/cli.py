@@ -135,8 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--method",
-        choices=("recurrence", "identity", "egf", "series-approx", "bruteforce"),
-        default="recurrence",
+        choices=("dobinski", "recurrence", "identity", "egf", "series-approx", "bruteforce"),
+        default="dobinski",
+        help="dobinski (default): the exact finite Dobinski sum, O(1) big integers; "
+        "recurrence: the derivative triangle; identity: the Stirling double sum; "
+        "egf: the exponential formula; series-approx: the truncated Dobinski series; "
+        "bruteforce: enumeration",
     )
     p.add_argument("--budget", type=int)
     p.add_argument("--force", action="store_true")
@@ -224,7 +228,9 @@ def cmd_enumerate(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
     from . import counting
 
-    if args.method == "recurrence":
+    if args.method == "dobinski":
+        print(counting.count_flattened_dobinski(args.n, args.k))
+    elif args.method == "recurrence":
         print(counting.count_flattened_recurrence(args.n, args.k))
     elif args.method == "identity":
         print(counting.count_flattened_identity(args.n, args.k))

@@ -110,7 +110,13 @@ def _normalize(blocks: Iterable[Iterable[Sequence[int]]]) -> tuple[Block, ...]:
 
 
 def _int_pairs(block: Iterable[Sequence[int]]) -> Iterator[tuple[int, int]]:
-    for e, c in block:
+    for member in block:
+        try:
+            e, c = member
+        except (TypeError, ValueError):  # not iterable, or not of length two
+            raise MalformedPartitionError(
+                f"block member must be an (element, color) pair, got {member!r}"
+            ) from None
         if type(e) is not int or type(c) is not int:
             raise MalformedPartitionError(
                 f"element and color must be integers, got ({e!r}, {c!r})"

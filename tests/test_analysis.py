@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flatstir import (
     DomainError,
@@ -129,6 +129,7 @@ _linear_factor = st.tuples(st.integers(-6, 6), st.integers(-6, 6).filter(bool))
     st.lists(st.tuples(_linear_factor, st.integers(1, 3)), min_size=1, max_size=4),
     st.integers(min_value=1, max_value=9),
 )
+@settings(deadline=None)  # products of up to 12 factors: one example can pass 200 ms
 def test_known_answers_with_repeated_roots(factors, c):
     real = _product([list(f) for f, repeats in factors for _ in range(repeats)])
     assert is_real_rooted(IntPolynomial(real))

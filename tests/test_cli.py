@@ -29,11 +29,17 @@ class TestCount:
         assert code == 0
         assert out.strip() == "116"
 
-    @pytest.mark.parametrize("method", ["recurrence", "identity", "egf", "bruteforce"])
+    @pytest.mark.parametrize("method", ["dobinski", "recurrence", "identity", "egf", "bruteforce"])
     def test_methods_agree(self, capsys, method):
         code, out, _ = run(capsys, "count", "--n", "5", "--k", "2", "--method", method)
         assert code == 0
         assert out.strip() == "116"
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_default_prints_the_triangle_bytes(self, capsys, k):
+        for n in range(1, 61):
+            argv = ["count", "--n", str(n), "--k", str(k)]
+            assert run(capsys, *argv) == run(capsys, *argv, "--method", "recurrence"), n
 
     def test_prints_counts_past_the_int_str_digit_limit(self, capsys):
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

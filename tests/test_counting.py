@@ -10,6 +10,7 @@ from flatstir import (
     CountTableRow,
     DomainError,
     bell_number,
+    count_flattened_dobinski,
     count_flattened_identity,
     count_flattened_recurrence,
     count_flattened_series_approx,
@@ -115,6 +116,15 @@ class TestTotals:
     def test_identity_equals_recurrence_at_large_n(self, n, k):
         assert count_flattened_identity(n, k) == count_flattened_recurrence(n, k)
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_dobinski_equals_one_triangle_pass(self, k):
+        totals = flattened_totals(k, 150)
+        assert [count_flattened_dobinski(n, k) for n in range(1, 151)] == totals
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dobinski_equals_recurrence_at_large_n(self, k):
+        assert count_flattened_dobinski(600, k) == count_flattened_recurrence(600, k)
+
     def test_identity_memory_is_linear(self):
         """One Stirling row at a time: no triangle in memory."""
         tracemalloc.start()
@@ -147,6 +157,8 @@ class TestTotals:
             count_flattened_recurrence(0, 2)
         with pytest.raises(DomainError):
             count_flattened_identity(0, 2)
+        with pytest.raises(DomainError):
+            count_flattened_dobinski(0, 2)
 
     @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (3, 4)])
     def test_matches_bruteforce(self, n, k):

@@ -12,13 +12,14 @@ EXPORTED = [
     "DEFAULT_BUDGET", "DomainError", "EgfSeries", "FlatstirError", "IntPolynomial",
     "MalformedPartitionError", "MalformedWordError", "NotFlattenedError", "NotStirlingError",
     "PartitionRuleError", "StirlingWord", "WordStats", "bell_number", "block_descent_count",
-    "conjecture_report", "count_flattened_identity", "count_flattened_recurrence",
-    "count_flattened_series_approx", "count_max_runs_k2", "count_runs_2", "count_runs_3",
-    "count_table", "cross_check", "descent_egf", "descent_polynomial_bruteforce",
-    "egf_flattened", "extract_descent_polynomial", "gen_flattened", "gen_gcp", "gen_stirling",
-    "is_flattened", "is_real_rooted", "is_unimodal", "is_valid_stirling",
-    "max_runs_bound", "parse_partition", "parse_word", "phi", "phi_inverse",
-    "predicted_stirling_count", "run_distribution_bruteforce", "word_stats",
+    "conjecture_report", "count_flattened_dobinski", "count_flattened_identity",
+    "count_flattened_recurrence", "count_flattened_series_approx", "count_max_runs_k2",
+    "count_runs_2", "count_runs_3", "count_table", "cross_check", "descent_egf",
+    "descent_polynomial_bruteforce", "egf_flattened", "extract_descent_polynomial",
+    "gen_flattened", "gen_gcp", "gen_stirling", "is_flattened", "is_real_rooted",
+    "is_unimodal", "is_valid_stirling", "max_runs_bound", "parse_partition", "parse_word",
+    "phi", "phi_inverse", "predicted_stirling_count", "run_distribution_bruteforce",
+    "word_stats",
 ]
 
 

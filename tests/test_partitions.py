@@ -92,6 +92,14 @@ class TestStructure:
         with pytest.raises(MalformedPartitionError, match="must be integers"):
             ColoredPartition(2, 2, [[(1, 1), pair]])
 
+    # unpacking these raised a bare ValueError (three values) or TypeError (an int)
+    @pytest.mark.parametrize(
+        "blocks", [[[(1, 1, 1)]], [[1]], [(1, 1)]], ids=["triple", "bare-int", "pair-as-block"]
+    )
+    def test_block_members_must_be_pairs(self, blocks):
+        with pytest.raises(MalformedPartitionError, match=r"must be an \(element, color\) pair"):
+            ColoredPartition(1, 2, blocks)
+
     @pytest.mark.parametrize(
         "n,k", [("2", 2), (2, "2"), (2.0, 2), (True, 2), (1, True)],
         ids=["n-string", "k-string", "n-float", "n-bool", "k-bool"],
