@@ -346,12 +346,7 @@ def cmd_egf(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
     from .verify import VerifyLimits  # local import: no other command needs the module
 
-    limits = VerifyLimits(
-        max_n=args.max_n,
-        offline_oeis=args.offline,
-        cache_dir=cfg.cache_dir,
-        oeis_timeout=cfg.oeis_timeout,
-    )
+    limits = VerifyLimits(max_n=args.max_n, offline_oeis=args.offline, cache_dir=cfg.cache_dir)
     results = run_verification(limits)
     failures = 0
     for r in results:
@@ -378,13 +373,7 @@ def run_verification(limits: VerifyLimits) -> list[CheckResult]:
 def cmd_oeis(args: argparse.Namespace, cfg: Config) -> int:
     from . import oeis
 
-    report = oeis.cross_check(
-        args.k,
-        args.max_n,
-        offline=args.offline,
-        cache_dir=cfg.cache_dir,
-        timeout=cfg.oeis_timeout,
-    )
+    report = oeis.cross_check(args.k, args.max_n, offline=args.offline, cache_dir=cfg.cache_dir)
     if args.format == "json":
         payload = {
             "k": report.k,

@@ -2,12 +2,12 @@
 
 Precedence: command-line flags > environment variables > config file >
 built-in defaults.  The config file is flat "key = value" text; '#' starts
-a comment.  Recognized keys: budget, oeis_timeout and cache_dir (a cap, a
-timeout and a path).  budget must be >= 0, oeis_timeout finite and > 0.
-An unknown key in the file is an error naming the file and line.  Of the
-`FLATSTIR_*` variables, only `FLATSTIR_CONFIG` and each key's
-`FLATSTIR_<KEY>` are read; any other is ignored.  The OEIS client's
-defaults (fetch timeout, cache directory) and the enumeration cap
+a comment.  Recognized keys: budget and cache_dir (a cap and a path).
+budget must be an integer >= 0.  An unknown key in the file is an error
+naming the file and line.  Of the `FLATSTIR_*` variables, only
+`FLATSTIR_CONFIG` and each key's `FLATSTIR_<KEY>` are read; any other is
+ignored.  A b-file fetch's timeout is a constant of `oeis`, not a key.
+The OEIS client's cache directory and the enumeration cap
 (`DEFAULT_BUDGET`, which `counting`, `enumeration` and `analysis` import
 from here) live here, so resolving a config loads neither the client nor
 any counting route.
@@ -15,15 +15,13 @@ any counting route.
 
 from __future__ import annotations
 
-import math
 import os
 from collections.abc import Mapping
 
 from .errors import FlatstirError
 
 ENV_PREFIX = "FLATSTIR_"
-_KEYS = ("budget", "oeis_timeout", "cache_dir")
-DEFAULT_TIMEOUT = 10.0  # a b-file fetch's socket timeout, in seconds
+_KEYS = ("budget", "cache_dir")
 DEFAULT_BUDGET = 10**8  # the enumeration size cap; None lifts it
 
 
@@ -42,7 +40,6 @@ class ConfigError(FlatstirError, ValueError):
 class Config:
     def __init__(self, env: Mapping[str, str] = os.environ):
         self.budget: int = DEFAULT_BUDGET
-        self.oeis_timeout: float = DEFAULT_TIMEOUT
         self.cache_dir: str = default_cache_dir(env)
 
 
@@ -93,12 +90,10 @@ def _set(cfg: Config, key: str, value: str, where: str) -> None:
     if key == "cache_dir":
         cfg.cache_dir = value
         return
-    timeout = key == "oeis_timeout"
     try:
-        number = float(value) if timeout else int(value)
+        budget = int(value)
     except ValueError:
         raise ConfigError(f"{where}: bad value {value!r} for {key}") from None
-    if not (0 < number < math.inf if timeout else number >= 0):  # also rejects a NaN timeout
-        rule = "finite and > 0" if timeout else ">= 0"
-        raise ConfigError(f"{where}: {key} must be {rule}, got {value}")
-    setattr(cfg, key, number)
+    if budget < 0:
+        raise ConfigError(f"{where}: {key} must be >= 0, got {value}")
+    cfg.budget = budget

@@ -1,8 +1,9 @@
 """Cross-checks of computed counts against published integer sequences.
 
 The three sequences tied to k = 2, 3, 4 are fetched as b-files (plain
-text, "index value" per line, '#' comments) by one path: the network,
-whose verbatim bytes are cached on disk (atomic write), then the cache.
+text, "index value" per line, '#' comments) by one path: the network
+(a fixed 10 s socket timeout, one retry), whose verbatim bytes are cached
+on disk (atomic write), then the cache.
 When neither has the data, the check compares against an embedded prefix
 computed by the Stirling-number identity (the check itself uses one pass
 of the derivative triangle), so the offline path never relies on
@@ -20,12 +21,13 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from .config import DEFAULT_TIMEOUT, default_cache_dir
+from .config import default_cache_dir
 from .counting import count_flattened_identity, flattened_totals
 from .errors import AlignmentError, BFileParseError, DomainError
 
 SEQUENCE_BY_K = {2: "A007405", 3: "A355164", 4: "A355167"}
 _EMBEDDED_TERMS = 10
+_FETCH_TIMEOUT = 10.0  # a b-file fetch's socket timeout, in seconds
 
 
 def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
@@ -47,9 +49,7 @@ def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(rows)
 
 
-def _fetch(
-    sequence_id: str, cache_dir: str, offline: bool, timeout: float
-) -> tuple[str, tuple[int, ...]] | None:
+def _fetch(sequence_id: str, cache_dir: str, offline: bool) -> tuple[str, tuple[int, ...]] | None:
     """(source, values) of a b-file from the network, which writes the cache,
     or else from the cache; None when neither has the data."""
     cache_path = os.path.join(cache_dir, f"b{sequence_id[1:]}.txt")
@@ -60,7 +60,7 @@ def _fetch(
         url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
         for _ in range(2):  # one retry
             try:
-                with urllib.request.urlopen(url, timeout=timeout) as resp:
+                with urllib.request.urlopen(url, timeout=_FETCH_TIMEOUT) as resp:
                     text = resp.read().decode("utf-8")
             except (urllib.error.URLError, OSError, ValueError):
                 continue
@@ -112,12 +112,7 @@ class CrossCheckReport(NamedTuple):
 
 
 def cross_check(
-    k: int,
-    max_n: int,
-    *,
-    offline: bool = False,
-    cache_dir: str | None = None,
-    timeout: float = DEFAULT_TIMEOUT,
+    k: int, max_n: int, *, offline: bool = False, cache_dir: str | None = None
 ) -> CrossCheckReport:
     """Compare computed counts of order n+1, n = 0..max_n, with a sequence.
 
@@ -131,7 +126,7 @@ def cross_check(
         raise DomainError("need max_n >= 2: alignment uses the first three terms")
     sequence_id = SEQUENCE_BY_K[k]
     cache_dir = cache_dir or default_cache_dir()
-    fetched = _fetch(sequence_id, cache_dir, offline, timeout)
+    fetched = _fetch(sequence_id, cache_dir, offline)
     computed = flattened_totals(k, max_n + 1)
     if fetched is None:
         source, shift = "embedded", 0

@@ -16,12 +16,13 @@ rule-breaking partitions remain representable for negative tests;
 `require_good` raises naming the first failed rule.  The constructor and
 the parsers (`parse_partition`, `partition_from_json`) validate: n, k and
 every element and color must be ints (a bool, float or numeric string is
-refused, not coerced).  The generator in `enumeration` and
-`bijection.phi_inverse` build good partitions in standard notation by
-construction and go through `_trusted_partition`, so they are not
-re-validated.  Either path sets the fields only through the slots' member
-descriptors (`_set_n`, `_set_k`, `_set_blocks`); ColoredPartition is a
-`__slots__` class on `words._Value`, which refuses any other assignment.
+refused, not coerced), and `blocks` and each block must be iterable.  The
+generator in `enumeration` and `bijection.phi_inverse` build good
+partitions in standard notation by construction and go through
+`_trusted_partition`, so they are not re-validated.  Either path sets
+the fields only through the slots' member descriptors (`_set_n`, `_set_k`,
+`_set_blocks`); ColoredPartition is a `__slots__` class on `words._Value`,
+which refuses any other assignment.
 
 `to_text` and `to_json` format each block once and join the pieces: a
 walk yields many partitions but few distinct blocks (GCP_2(8) has 28,640
@@ -38,7 +39,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedPartitionError, PartitionRuleError
-from .words import _json_fields, _Value
+from .words import _iterate, _json_fields, _Value
 
 Block = tuple[tuple[int, int], ...]  # ((element, color), ...) sorted by element
 
@@ -105,12 +106,13 @@ def _trusted_partition(n: int, k: int, blocks: tuple[Block, ...]) -> ColoredPart
 
 
 def _normalize(blocks: Iterable[Iterable[Sequence[int]]]) -> tuple[Block, ...]:
+    blocks = _iterate(blocks, "blocks", MalformedPartitionError)
     inner = [tuple(sorted(_int_pairs(block))) for block in blocks]
     return tuple(sorted(inner, key=lambda b: b[0][0] if b else 0))
 
 
 def _int_pairs(block: Iterable[Sequence[int]]) -> Iterator[tuple[int, int]]:
-    for member in block:
+    for member in _iterate(block, "block", MalformedPartitionError):
         try:
             e, c = member
         except (TypeError, ValueError):  # not iterable, or not of length two

@@ -10,6 +10,8 @@ recomputed from scratch by the brute-force oracle inside these checks.
 A check over a range of orders reads its totals from one triangle pass per
 k; checks share only the memo of brute-force run distributions.  Every walk
 has a fixed size, at most |Q_8^2|, far under the generators' default cap.
+`VerifyLimits` carries what a run varies: the largest order, whether the
+sequence check stays offline, and its cache directory.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ class VerifyLimits(NamedTuple):
     max_n: int = 8
     offline_oeis: bool = False
     cache_dir: str | None = None
-    oeis_timeout: float = oeis.DEFAULT_TIMEOUT
 
 
 class _State:
@@ -299,11 +300,7 @@ def _check_oeis(state: _State) -> str:
     sources = []
     for k in (2, 3, 4):
         report = oeis.cross_check(
-            k,
-            9,
-            offline=state.limits.offline_oeis,
-            cache_dir=state.limits.cache_dir,
-            timeout=state.limits.oeis_timeout,
+            k, 9, offline=state.limits.offline_oeis, cache_dir=state.limits.cache_dir
         )
         _expect(report.all_match, f"sequence mismatch for k={k} ({report.sequence_id})")
         _expect(report.compared >= 10, f"only {report.compared} terms compared for k={k}")

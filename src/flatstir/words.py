@@ -9,7 +9,9 @@ leading letters of its runs are weakly increasing left to right.
 The StirlingWord type only enforces the multiset shape; the Stirling and
 flattened conditions are separate predicates so that invalid words remain
 constructible for negative tests.  Every public way in (the constructor,
-`parse_word`, `word_from_json`) validates; the generators in `enumeration`
+`parse_word`, `word_from_json`) validates: the order, the multiplicity and
+every letter must be ints (a bool or float is refused, not coerced), and
+the letters are stored as a tuple.  The generators in `enumeration`
 and `bijection.phi` build words that are correct by construction through
 `_trusted_word` (the generators test them with `_leaders_weakly_increase`),
 so those words are trusted and not re-validated.
@@ -33,7 +35,7 @@ lists indexed by letter, so it allocates nothing per value.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import MalformedWordError, NotStirlingError
 
@@ -70,23 +72,24 @@ class StirlingWord(_Value):
 
     def __init__(self, letters: tuple[int, ...], order: int, multiplicity: int):
         n, k = order, multiplicity
+        if type(n) is not int or type(k) is not int:  # before comparing them
+            raise MalformedWordError(f"order {n!r} and multiplicity {k!r} must be integers")
         if n < 0 or k < 1:
             raise MalformedWordError(f"order {n} and multiplicity {k} must be >= 0 and >= 1")
+        letters = tuple(_iterate(letters, "letters", MalformedWordError))
         if len(letters) != n * k:
             raise MalformedWordError(
                 f"expected {n * k} letters for order {n}, multiplicity {k}; got {len(letters)}"
             )
+        for v in letters:
+            if type(v) is not int:  # a bool or a float compares equal to an int
+                raise _not_the_multiset(n, k, f": letter {v!r} is not an integer")
         # sorted, the multiset is 1^k 2^k ... n^k: the first and the last
         # copy of every value sit at fixed places
-        try:
-            s = sorted(letters)
-        except TypeError:  # letters of types that do not compare
-            s = None
+        s = sorted(letters)
         r = list(range(1, n + 1))
-        if s is None or s[::k] != r or s[k - 1::k] != r:
-            raise MalformedWordError(
-                f"letters are not the multiset {{1^{k}, ..., {n}^{k}}}"
-            )
+        if s[::k] != r or s[k - 1::k] != r:
+            raise _not_the_multiset(n, k)
         _set_letters(self, letters)
         _set_order(self, order)
         _set_multiplicity(self, multiplicity)
@@ -122,6 +125,18 @@ def _trusted_word(letters: tuple[int, ...], order: int, multiplicity: int) -> St
     _set_order(w, order)
     _set_multiplicity(w, multiplicity)
     return w
+
+
+def _not_the_multiset(n: int, k: int, detail: str = "") -> MalformedWordError:
+    return MalformedWordError(f"letters are not the multiset {{1^{k}, ..., {n}^{k}}}{detail}")
+
+
+def _iterate(value, what: str, error: type[Exception]) -> Iterator:
+    """`iter(value)`; a value that is not iterable raises `error` naming it."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise error(f"{what} must be iterable, got {value!r}") from None
 
 
 class WordStats(NamedTuple):

@@ -612,9 +612,9 @@ class TestConfig:
     @pytest.mark.parametrize("line,message", [
         ("budget 5", "expected 'key = value', got 'budget 5\\n'"),
         ("budget = lots", "bad value 'lots' for budget"),
-        ("oeis_timeout = soon", "bad value 'soon' for oeis_timeout"),
         ("truncation_order = 5", "unknown config key 'truncation_order'"),
-    ], ids=["no-equals", "non-numeric-int", "non-numeric-float", "removed-key"])
+        ("oeis_timeout = 5", "unknown config key 'oeis_timeout'"),
+    ], ids=["no-equals", "non-numeric-int", "removed-key", "removed-key-oeis_timeout"])
     def test_bad_line_names_path_and_line(self, capsys, tmp_path, line, message):
         cfg = tmp_path / "flatstir.conf"
         cfg.write_text(f"# first\n{line}\n")
@@ -624,14 +624,13 @@ class TestConfig:
 
     def test_unknown_environment_variable_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("FLATSTIR_TRUNCATION_ORDER", "5")
+        monkeypatch.setenv("FLATSTIR_OEIS_TIMEOUT", "soon")
         code, out, _ = run(capsys, "egf", "--k", "2")
         assert code == 0
         assert len(out.splitlines()) == 33  # orders 0..32, the --order default
 
     BAD_SIZES = [
         ("budget", "-1", ">= 0"),
-        ("oeis_timeout", "0", "finite and > 0"),
-        ("oeis_timeout", "inf", "finite and > 0"),  # a socket timeout overflows on it
     ]
 
     @pytest.mark.parametrize("key,value,rule", BAD_SIZES, ids=[f"{k}={v}" for k, v, _ in BAD_SIZES])

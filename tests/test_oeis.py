@@ -72,14 +72,16 @@ class TestFetch:
         calls = []
 
         def fake_urlopen(url, timeout=None):
-            calls.append(url)
+            calls.append((url, timeout))
             return _FakeResponse(text.encode())
 
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         got = cross_check(2, 9, cache_dir=str(tmp_path))
         assert got.source == "network"
         assert got.all_match and got.compared == 10
-        assert "b007405.txt" in calls[0]
+        url, timeout = calls[0]
+        assert "b007405.txt" in url
+        assert timeout == 10.0  # the fetch's fixed socket timeout
         cache_file = tmp_path / "b007405.txt"
         assert cache_file.read_text() == text  # verbatim bytes
 

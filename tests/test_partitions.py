@@ -101,6 +101,15 @@ class TestStructure:
             ColoredPartition(1, 2, blocks)
 
     @pytest.mark.parametrize(
+        "blocks,message", [(5, "blocks must be iterable, got 5"),
+                           ([[(1, 1)], 5], "block must be iterable, got 5")],
+        ids=["int-blocks", "int-block"],
+    )
+    def test_blocks_must_be_iterable(self, blocks, message):
+        with pytest.raises(MalformedPartitionError, match=message):
+            ColoredPartition(1, 2, blocks)
+
+    @pytest.mark.parametrize(
         "n,k", [("2", 2), (2, "2"), (2.0, 2), (True, 2), (1, True)],
         ids=["n-string", "k-string", "n-float", "n-bool", "k-bool"],
     )

@@ -61,6 +61,32 @@ class TestConstruction:
         with pytest.raises(MalformedWordError, match="letters are not the multiset"):
             StirlingWord(letters, n, k)
 
+    @pytest.mark.parametrize(
+        "letters,n,k,message",
+        [
+            ((1.0, True), 1, 2, "letter 1.0 is not an integer"),
+            ((1, 1), 1.0, 2, "order 1.0 and multiplicity 2 must be integers"),
+            ((1, 1), 1, 2.0, "order 1 and multiplicity 2.0 must be integers"),
+            ((1, 1), True, 2, "order True and multiplicity 2 must be integers"),
+            ((1, 1), 1, True, "order 1 and multiplicity True must be integers"),
+            (5, 1, 1, "letters must be iterable, got 5"),
+        ],
+        ids=["letters-float-bool", "order-float", "multiplicity-float", "order-bool",
+             "multiplicity-bool", "letters-int"],
+    )
+    def test_fields_of_the_wrong_type_are_refused(self, letters, n, k, message):
+        # a float or a bool compares equal to an int: it is refused before any comparison
+        with pytest.raises(MalformedWordError, match=message):
+            StirlingWord(letters, n, k)
+
+    def test_letters_are_stored_as_a_tuple(self):
+        letters = [1, 1]
+        w = StirlingWord(letters, 1, 2)
+        letters.append(2)
+        assert w.letters == (1, 1)
+        assert w == StirlingWord((1, 1), 1, 2)
+        assert hash(w) == hash(StirlingWord((1, 1), 1, 2))
+
 
 class TestStirlingPredicate:
     def test_simple_valid(self):
