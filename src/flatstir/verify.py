@@ -8,8 +8,13 @@ them all and fails on any mismatch.
 Reference constants below are regression anchors; every one of them is
 recomputed from scratch by the brute-force oracle inside these checks.
 A check over a range of orders reads its totals from one triangle pass per
-k; checks share only the memo of brute-force run distributions.  Every walk
-has a fixed size, at most |Q_8^2|, far under the generators' default cap.
+k.  Checks share one memo, of brute-force run tallies by (n, k): the run
+refinement, the run-count closed forms and the descent polynomials (the
+tally read from t^0 up, since runs = descents + 1) all read it.  Each check
+walks a space once: the round trip collects its phi images for the image
+sets in the same walk, and the statistic check classifies each word with
+one scan.  Every walk has a fixed size, at most |Q_8^2|, far under the
+generators' default cap.
 `VerifyLimits` carries what a run varies: the largest order, whether the
 sequence check stays offline, and its cache directory.
 """
@@ -160,7 +165,10 @@ def _check_run_refinement(state: _State) -> str:
 def _check_round_trip(state: _State) -> str:
     checked = 0
     for k in range(1, 5):
+        image_top = {2: 6, 3: 5}.get(k, 0)  # the last order whose image set is compared
         for n in range(1, min(state.limits.max_n, 6) + 1):
+            # the walk's phi images, kept where the image set is compared
+            image = set() if n <= image_top else None
             for p in enumeration.gen_gcp(n, k):
                 # per-object checks build their message only on failure
                 w = bijection.phi(p)
@@ -171,14 +179,13 @@ def _check_round_trip(state: _State) -> str:
                 if back != p:
                     raise AssertionError(f"round trip failed for {p.to_text()} (k={k})")
                 checked += 1
-    for k, n_top in ((2, 6), (3, 5)):
-        for n in range(1, min(state.limits.max_n, n_top) + 1):
-            image = {bijection.phi(p) for p in enumeration.gen_gcp(n, k)}
-            filtered = set(enumeration.gen_flattened(n, k))
-            _expect(
-                image == filtered,
-                f"phi image differs from the flattened subset at n={n}, k={k}",
-            )
+                if image is not None:
+                    image.add(w)
+            if image is not None:
+                _expect(
+                    image == set(enumeration.gen_flattened(n, k)),
+                    f"phi image differs from the flattened subset at n={n}, k={k}",
+                )
     return f"{checked} partitions round-tripped; image equals the flattened subset"
 
 
@@ -218,10 +225,11 @@ def _check_descent_polynomials(state: _State) -> str:
         egf = series.descent_egf(k, top - 1)
         for n in range(1, top + 1):
             extracted = series.extract_descent_polynomial(egf, n - 1)
-            brute = analysis.descent_polynomial_bruteforce(n, k)
+            # runs = descents + 1: the run tally read from t^0 up
+            brute = state.distribution(n, k).run_refined
             _expect(
-                extracted == brute,
-                f"descent polynomial at n={n}, k={k}: {extracted.coeffs} != {brute.coeffs}",
+                extracted.coeffs == brute,
+                f"descent polynomial at n={n}, k={k}: {extracted.coeffs} != {brute}",
             )
     for (n, k), coeffs in REFERENCE_DESCENT_POLYS.items():
         egf = series.descent_egf(k, n - 1)
@@ -321,13 +329,13 @@ def _check_properties(state: _State) -> str:
             seen_runs = 0
             for w in enumeration.gen_stirling(n, k):
                 # per-object checks build their message only on failure
-                s = words.word_stats(w)
+                s, flattened = words._flattened_stats(w)
                 if s.runs != s.descents + 1:
                     raise AssertionError("runs != descents + 1")
                 if s.descents + s.plateaus + s.ascents != n * k - 1:
                     raise AssertionError("descents + plateaus + ascents != nk - 1")
                 total_words += 1
-                if words.is_flattened(w):
+                if flattened:
                     if s.runs > bound:
                         raise AssertionError(f"run bound violated at n={n}, k={k}")
                     seen_runs = max(seen_runs, s.runs)

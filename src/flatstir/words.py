@@ -25,12 +25,19 @@ the constructor after validating or by `_trusted_word` without;
 `_Value.__setattr__` refuses any other assignment.
 
 The per-word operations are written for the brute-force walks, which call
-them tens of thousands of times: the multiset check is one comparison
-against the sorted letters; `word_stats` builds its `WordStats` named
-tuple through `tuple.__new__` (`_new_stats`, bound once like the slot
-setters), which skips the generated `__new__`; and `is_valid_stirling`
-keeps its per-value copy counts and its stack of open values in flat
-lists indexed by letter, so it allocates nothing per value.
+them tens of thousands of times.  One private scanner, `_scan`, reads a
+word once, left to right, and returns whether it is Stirling, whether it is
+flattened, and its descents, plateaus and ascents.  `is_valid_stirling`,
+`is_flattened` and `word_stats` are views of that one pass, and
+`_flattened_stats` hands `verify` the stats and the flattened flag of one
+call.  The scan keeps its per-value copy counts and its stack of open
+values in flat lists indexed by letter, so it allocates nothing per value;
+`WordStats` is built through `tuple.__new__` (`_new_stats`, bound once like
+the slot setters), which skips the generated `__new__`; and the multiset
+check of the constructor is one comparison against the sorted letters.
+`_leaders_weakly_increase` stays a separate, minimal loop: it is the
+filter route's keep-predicate, run on every word of the pruned walk, where
+the words are Stirling by construction and the counts are not wanted.
 """
 
 from __future__ import annotations
@@ -192,39 +199,90 @@ def _json_fields(text: str, what: str, keys: tuple[str, ...], error: type[Except
     return args
 
 
-def is_valid_stirling(w: StirlingWord) -> bool:
-    """True iff every letter between consecutive copies of i exceeds i.
+def _scan(w: StirlingWord) -> tuple[bool, bool, int, int, int]:
+    """(Stirling, flattened, descents, plateaus, ascents) of w in one left-to-right pass.
 
-    Single left-to-right scan.  The stack holds values whose copies are
-    still open (some but not all k copies seen); it is strictly increasing
-    bottom to top, so a new letter below the top lies between two copies
-    of the top value and violates the condition.  The stack is kept as
-    links in the flat list `below`, indexed by letter: the top is a
-    scalar, `below[v]` is the open value under v, and a 0 at the bottom
-    stands below every letter, so a push or a pop is one index store or
-    load.  The copies seen of each open value are counted in the flat
-    list `seen`, indexed by letter.
+    The counts are exact for every word.  The flattened flag means
+    something only for a Stirling word; it is False for any other.
+
+    Each letter is classed by its adjacent pair first.  The Stirling test
+    keeps a stack of the values whose copies are still open (some but not
+    all k copies seen); it is strictly increasing bottom to top, and while
+    the prefix is Stirling its top is at most the previous letter.  So an
+    ascent pushes its letter (a first copy), a plateau is the next copy of
+    the top, and only a descent can break the condition: its letter
+    continues the top, is pushed, or lies below the top, between two
+    copies of the top value.  A descent is also where a run starts, so the
+    leader test runs there.  The stack is kept as links in the flat list
+    `below`, indexed by letter: the top is a scalar, `below[v]` is the open
+    value under v, and a 0 at the bottom stands below every letter.  The
+    copies still to come of each open value are counted down from k - 1 in
+    the flat list `left`, so a push stores nothing there.
+    k = 1 needs no stack, and past a violation only the counts go on.
     """
+    letters = w.letters
+    if not letters:
+        return True, True, 0, 0, 0
     k = w.multiplicity
-    if k == 1:
-        return True
-    seen = [0] * (w.order + 1)
-    below = [0] * (w.order + 1)
-    top = 0
-    for v in w.letters:
-        if v == top:
-            copies = seen[v] + 1
-            if copies == k:
-                top = below[v]
+    it = iter(letters)
+    prev = leader = next(it)
+    descents = plateaus = ascents = 0
+    stirling = flattened = True
+    if k > 1:
+        left = [k - 1] * (w.order + 1)
+        below = [0] * (w.order + 1)
+        top = prev
+        for v in it:
+            if v > prev:
+                ascents += 1
+                below[v] = top
+                top = v
+            elif v == prev:
+                plateaus += 1
+                copies = left[v] - 1
+                if copies:
+                    left[v] = copies
+                else:
+                    top = below[v]
             else:
-                seen[v] = copies
-        elif v > top:
-            below[v] = top
-            top = v
-            seen[v] = 1
+                descents += 1
+                if v < leader:
+                    flattened = False
+                leader = v
+                if v == top:
+                    copies = left[v] - 1
+                    if copies:
+                        left[v] = copies
+                    else:
+                        top = below[v]
+                elif v > top:
+                    below[v] = top
+                    top = v
+                else:
+                    stirling = flattened = False
+                    prev = v
+                    break
+            prev = v
         else:
-            return False
-    return top == 0
+            return top == 0, flattened, descents, plateaus, ascents
+    # k = 1, or the rest of a word past its violation: the pairs and the leaders
+    for v in it:
+        if v > prev:
+            ascents += 1
+        elif v == prev:
+            plateaus += 1
+        else:
+            descents += 1
+            if v < leader:
+                flattened = False
+            leader = v
+        prev = v
+    return stirling, flattened, descents, plateaus, ascents
+
+
+def is_valid_stirling(w: StirlingWord) -> bool:
+    """True iff every letter between consecutive copies of i exceeds i."""
+    return _scan(w)[0]
 
 
 def is_flattened(w: StirlingWord) -> bool:
@@ -233,16 +291,33 @@ def is_flattened(w: StirlingWord) -> bool:
     Raises NotStirlingError when w is not a valid k-Stirling word; the
     flattened property is only defined on that domain.
     """
-    if not is_valid_stirling(w):
-        raise NotStirlingError(
-            "word is not a k-Stirling permutation: a letter smaller than i "
-            "occurs between two consecutive copies of i"
-        )
-    return _leaders_weakly_increase(w.letters)
+    scan = _scan(w)
+    if not scan[0]:
+        raise _not_stirling()
+    return scan[1]
+
+
+def _flattened_stats(w: StirlingWord) -> tuple[WordStats, bool]:
+    """`word_stats(w)` and `is_flattened(w)` from one scan; raises as `is_flattened` does."""
+    stirling, flattened, descents, plateaus, ascents = _scan(w)
+    if not stirling:
+        raise _not_stirling()
+    return _stats(w, descents, plateaus, ascents), flattened
+
+
+def _not_stirling() -> NotStirlingError:
+    return NotStirlingError(
+        "word is not a k-Stirling permutation: a letter smaller than i "
+        "occurs between two consecutive copies of i"
+    )
 
 
 def _leaders_weakly_increase(letters: tuple[int, ...]) -> bool:
-    """The flattened condition alone, for words already known to be Stirling."""
+    """The flattened condition alone, for words already known to be Stirling.
+
+    The filter route's keep-predicate: it runs on every word of the pruned
+    walk, so it does the leader test and nothing else.
+    """
     if not letters:
         return True
     leader = letters[0]
@@ -257,22 +332,15 @@ def _leaders_weakly_increase(letters: tuple[int, ...]) -> bool:
 
 
 def word_stats(w: StirlingWord) -> WordStats:
-    """Descents, runs, plateaus and ascents in one scan.
+    """Descents, runs, plateaus and ascents of any word, Stirling or not.
 
     The empty word reports runs=0 as its marker; nonempty words satisfy
     runs == descents + 1 and descents + plateaus + ascents == n*k - 1.
     """
-    letters = w.letters
-    if not letters:
-        return _new_stats(WordStats, (0, 0, 0, 0))
-    descents = plateaus = ascents = 0
-    prev = letters[0]
-    for v in letters[1:]:
-        if v < prev:
-            descents += 1
-        elif v == prev:
-            plateaus += 1
-        else:
-            ascents += 1
-        prev = v
-    return _new_stats(WordStats, (descents, descents + 1, plateaus, ascents))
+    _, _, descents, plateaus, ascents = _scan(w)
+    return _stats(w, descents, plateaus, ascents)
+
+
+def _stats(w: StirlingWord, descents: int, plateaus: int, ascents: int) -> WordStats:
+    runs = descents + 1 if w.letters else 0
+    return _new_stats(WordStats, (descents, runs, plateaus, ascents))

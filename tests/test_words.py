@@ -222,6 +222,35 @@ def random_stirling_words(draw):
     return StirlingWord(tuple(word), n, k)
 
 
+NOT_STIRLING = (
+    "word is not a k-Stirling permutation: a letter smaller than i "
+    "occurs between two consecutive copies of i"
+)
+
+
+def naive_leaders_increase(letters):
+    """The flattened condition read literally: a run starts where a letter
+    drops below its predecessor, and the runs' first letters weakly increase."""
+    leaders = [v for i, v in enumerate(letters) if i == 0 or v < letters[i - 1]]
+    return all(a <= b for a, b in zip(leaders, leaders[1:]))
+
+
+@pytest.mark.parametrize("n,k", ARRANGEMENT_CASES)
+def test_flattened_check_against_naive_oracle(n, k):
+    """Hold the one-scan flattened check to the definition on every arrangement."""
+    empty = StirlingWord((), 0, k)
+    assert is_valid_stirling(empty) and is_flattened(empty)
+    assert word_stats(empty).runs == 0
+    for perm in arrangements(n, k):
+        w = StirlingWord(perm, n, k)
+        if naive_is_stirling(perm, n):
+            assert is_flattened(w) == naive_leaders_increase(perm), perm
+        else:
+            with pytest.raises(NotStirlingError) as excinfo:
+                is_flattened(w)
+            assert str(excinfo.value) == NOT_STIRLING, perm
+
+
 @given(random_stirling_words())
 def test_stats_invariants_on_random_words(w):
     s = word_stats(w)
