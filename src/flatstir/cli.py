@@ -11,6 +11,11 @@ of flatstir's route modules.  Handlers call a route through its module
 attribute, and `bijection` parses through `cli.parse_word` and
 `cli.parse_partition`, because the benchmark's tracer wraps those names;
 so `words` and `partitions` are the only route modules loaded up front.
+
+There is no config file.  `--force` lifts the enumeration cap
+(`config.DEFAULT_BUDGET`) on `enumerate`, `count` and `poly`; the one
+setting outside the flags, the b-file cache directory, comes from the
+environment through `config.default_cache_dir`, which `oeis` calls itself.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .partitions import parse_partition, partition_from_json
 from .words import parse_word, word_from_json
 
 if TYPE_CHECKING:
-    from .config import Config
     from .verify import CheckResult, VerifyLimits
 
 EXIT_OK = 0
@@ -48,7 +52,7 @@ ENUMERATE_CHUNK_LINES = 1024
 
 # Every integer flag's floor, in the order `main` checks them; a subcommand
 # overrides one through a `floors` default.
-_FLAG_FLOORS = (("k", 1), ("budget", 0), ("order", 0), ("n", 1), ("max_n", 1))
+_FLAG_FLOORS = (("k", 1), ("order", 0), ("n", 1), ("max_n", 1))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -64,10 +68,7 @@ def main(argv: list[str] | None = None) -> int:
             least = floors.get(flag, least)
             if value is not None and value < least:  # name the user's flag, not a derived value
                 raise DomainError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
-        from .config import load_config
-
-        cfg = load_config(args.config)
-        code = args.handler(args, cfg)
+        code = args.handler(args)
         sys.stdout.flush()  # a reader that left shows up here, not at exit
         return code
     except BudgetExceededError as exc:
@@ -79,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         # the series route hit its term cap: no certified answer
         return _fail("internal", exc, EXIT_MISMATCH)
-    except (FlatstirError, ValueError) as exc:  # a ConfigError is both
+    except (FlatstirError, ValueError) as exc:
         return _fail("usage", exc, EXIT_USAGE)
     except BrokenPipeError:
         # the reader has left: what is still buffered goes to the null device,
@@ -117,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Enumerate, count and analyze flattened k-Stirling permutations "
         "and good k-colored set partitions.",
     )
-    parser.add_argument("--config", help="path to a key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="stream words or partitions")
@@ -126,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flattened", action="store_true", help="only flattened words")
     p.add_argument("--as", dest="kind", choices=("words", "partitions"), default="words")
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
-    p.add_argument("--budget", type=int)
     p.add_argument("--force", action="store_true", help="lift the enumeration budget")
     p.set_defaults(handler=cmd_enumerate)
 
@@ -142,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         "egf: the exponential formula; series-approx: the truncated Dobinski series; "
         "bruteforce: enumeration",
     )
-    p.add_argument("--budget", type=int)
     p.add_argument("--force", action="store_true")
     p.set_defaults(handler=cmd_count)
 
@@ -163,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("egf", "bruteforce"), default="egf")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--budget", type=int)
     p.add_argument("--force", action="store_true")
     p.set_defaults(handler=cmd_poly)
 
@@ -195,17 +192,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget(args: argparse.Namespace, cfg: Config) -> int | None:
-    """The enumeration cap: None under --force, else --budget or the config's."""
-    if args.force:
-        return None
-    return args.budget if args.budget is not None else cfg.budget
+def _budget(args: argparse.Namespace) -> int | None:
+    """The enumeration cap: None under --force, else the default."""
+    from .config import DEFAULT_BUDGET  # per call: a cold start skips config, a patch applies
+
+    return None if args.force else DEFAULT_BUDGET
 
 
-def cmd_enumerate(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     from . import enumeration
 
-    budget = _budget(args, cfg)
+    budget = _budget(args)
     if args.kind == "partitions":
         if args.flattened:
             raise ValueError("--flattened applies to words; every good partition "
@@ -225,7 +222,7 @@ def cmd_enumerate(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_count(args: argparse.Namespace) -> int:
     from . import counting
 
     if args.method == "dobinski":
@@ -250,13 +247,13 @@ def cmd_count(args: argparse.Namespace, cfg: Config) -> int:
         from . import enumeration
 
         total = sum(
-            1 for _ in enumeration.gen_flattened(args.n, args.k, budget=_budget(args, cfg))
+            1 for _ in enumeration.gen_flattened(args.n, args.k, budget=_budget(args))
         )
         print(total)
     return EXIT_OK
 
 
-def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
     from . import counting
 
     table = counting.count_table(args.k, args.max_n)
@@ -287,7 +284,7 @@ def cmd_table(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_bijection(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_bijection(args: argparse.Namespace) -> int:
     from . import bijection
 
     payload = sys.stdin.read().strip()
@@ -308,7 +305,7 @@ def cmd_bijection(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_poly(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_poly(args: argparse.Namespace) -> int:
     if args.method == "egf":
         from . import series
 
@@ -318,7 +315,7 @@ def cmd_poly(args: argparse.Namespace, cfg: Config) -> int:
         from . import analysis
 
         poly = analysis.descent_polynomial_bruteforce(
-            args.n, args.k, budget=_budget(args, cfg)
+            args.n, args.k, budget=_budget(args)
         )
     if args.format == "json":
         _print_json({"n": args.n, "k": args.k, "coefficients": list(poly.coeffs)})
@@ -327,7 +324,7 @@ def cmd_poly(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_egf(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_egf(args: argparse.Namespace) -> int:
     from fractions import Fraction  # local import: it loads decimal and numbers too
 
     from . import series
@@ -343,10 +340,10 @@ def cmd_egf(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import VerifyLimits  # local import: no other command needs the module
 
-    limits = VerifyLimits(max_n=args.max_n, offline_oeis=args.offline, cache_dir=cfg.cache_dir)
+    limits = VerifyLimits(max_n=args.max_n, offline_oeis=args.offline)
     results = run_verification(limits)
     failures = 0
     for r in results:
@@ -370,10 +367,10 @@ def run_verification(limits: VerifyLimits) -> list[CheckResult]:
     return verify.run_verification(limits)
 
 
-def cmd_oeis(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_oeis(args: argparse.Namespace) -> int:
     from . import oeis
 
-    report = oeis.cross_check(args.k, args.max_n, offline=args.offline, cache_dir=cfg.cache_dir)
+    report = oeis.cross_check(args.k, args.max_n, offline=args.offline)
     if args.format == "json":
         payload = {
             "k": report.k,
@@ -395,7 +392,7 @@ def cmd_oeis(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_conjecture(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_conjecture(args: argparse.Namespace) -> int:
     from . import analysis, series
 
     rows = analysis.conjecture_report(args.k, args.max_n)

@@ -38,7 +38,7 @@ class DomainError(FlatstirError, ValueError):
 
 
 class BudgetExceededError(FlatstirError, RuntimeError):
-    """Predicted enumeration size exceeds the configured budget."""
+    """Predicted enumeration size exceeds the budget (the default cap unless lifted)."""
 
 
 class ConvergenceError(FlatstirError, RuntimeError):

@@ -1,7 +1,6 @@
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 
@@ -9,7 +8,7 @@ import pytest
 
 from flatstir import gen_flattened, gen_gcp, verify
 from flatstir.cli import main
-from flatstir.config import _KEYS, load_config
+from flatstir.config import default_cache_dir
 from flatstir.verify import REFERENCE_RUNS_K2
 
 EXAMPLE_PARTITION = "1_1 2_3 4_2 6_3 | 3_1 | 5_1"
@@ -274,10 +273,13 @@ class TestEnumerate:
         assert err.startswith("error: budget:")
         assert err.count("\n") == 1 and len(err) < 200
 
-    def test_force(self, capsys):
-        code, out, _ = run(
-            capsys, "enumerate", "--n", "2", "--k", "2", "--budget", "1", "--force"
-        )
+    def test_force(self, capsys, monkeypatch):
+        monkeypatch.setattr("flatstir.config.DEFAULT_BUDGET", 1)  # |Q_2^2| = 3 passes it
+        argv = ["enumerate", "--n", "2", "--k", "2"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: budget:")
+        code, out, _ = run(capsys, *argv, "--force")
         assert code == 0
         assert len(out.splitlines()) == 3
 
@@ -552,120 +554,36 @@ class TestOutputBytes:
 
 
 class TestConfig:
-    def test_config_file_sets_budget(self, capsys, tmp_path):
-        cfg = tmp_path / "flatstir.conf"
-        cfg.write_text("# test config\nbudget = 200\n")
-        code, _, err = run(
-            capsys, "--config", str(cfg), "enumerate", "--n", "5", "--k", "2"
-        )
-        assert code == 3  # |Q_5^2| = 945 > 200
-
-    def test_env_overrides_file(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "flatstir.conf"
-        cfg.write_text("budget = 200\n")
-        monkeypatch.setenv("FLATSTIR_BUDGET", "10000")
-        code, out, _ = run(
-            capsys, "--config", str(cfg), "enumerate", "--n", "5", "--k", "2", "--flattened"
-        )
-        assert code == 0
-        assert len(out.splitlines()) == 116
-
-    def test_flag_overrides_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("FLATSTIR_BUDGET", "200")
-        code, out, _ = run(
-            capsys, "enumerate", "--n", "5", "--k", "2", "--budget", "1000"
-        )
-        assert code == 0
-
     def test_cache_dir_default_comes_from_the_given_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FLATSTIR_CACHE_DIR", "/from/os/environ")
         monkeypatch.setenv("HOME", str(tmp_path))
         default = os.path.join(str(tmp_path), ".cache", "flatstir", "oeis")
-        assert load_config(env={}).cache_dir == default
-        xdg = load_config(env={"XDG_CACHE_HOME": "/xdg/env"}).cache_dir
+        assert default_cache_dir({}) == default
+        xdg = default_cache_dir({"XDG_CACHE_HOME": "/xdg/env"})
         assert xdg == os.path.join("/xdg/env", "flatstir", "oeis")
-        assert load_config(env={"FLATSTIR_CACHE_DIR": "/from/env"}).cache_dir == "/from/env"
-        assert load_config().cache_dir == "/from/os/environ"
+        assert default_cache_dir({"FLATSTIR_CACHE_DIR": "/from/env"}) == "/from/env"
+        assert default_cache_dir({"FLATSTIR_CACHE_DIR": ""}) == default
+        assert default_cache_dir() == "/from/os/environ"
 
     def test_flag_floors_are_checked_before_the_config(self, capsys, monkeypatch):
         monkeypatch.setenv("FLATSTIR_BUDGET", "-1")
         for argv, flag in ((["egf", "--k", "0"], "--k"), (["count", "--n", "0", "--k", "2"], "--n")):
             assert run(capsys, *argv) == (2, "", f"error: usage: {flag} must be >= 1, got 0\n")
 
-    def test_bad_config_key(self, capsys, tmp_path):
-        cfg = tmp_path / "flatstir.conf"
-        cfg.write_text("turbo = yes\n")
-        code, _, err = run(capsys, "--config", str(cfg), "count", "--n", "2", "--k", "2")
-        assert code == 2
-        assert "unknown config key" in err
-
-    def test_default_config_file_is_read(self, tmp_path):
-        (tmp_path / "flatstir.conf").write_text("budget = 7\n")
-        assert load_config(env={"XDG_CONFIG_HOME": str(tmp_path)}).budget == 7
-
-    def test_unreadable_config_names_the_path(self, capsys, tmp_path):
-        missing = tmp_path / "missing.conf"
-        code, out, err = run(capsys, "--config", str(missing), "count", "--n", "2", "--k", "2")
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: usage: cannot read config file {missing}: ")
-
-    @pytest.mark.parametrize("line,message", [
-        ("budget 5", "expected 'key = value', got 'budget 5\\n'"),
-        ("budget = lots", "bad value 'lots' for budget"),
-        ("truncation_order = 5", "unknown config key 'truncation_order'"),
-        ("oeis_timeout = 5", "unknown config key 'oeis_timeout'"),
-    ], ids=["no-equals", "non-numeric-int", "removed-key", "removed-key-oeis_timeout"])
-    def test_bad_line_names_path_and_line(self, capsys, tmp_path, line, message):
-        cfg = tmp_path / "flatstir.conf"
-        cfg.write_text(f"# first\n{line}\n")
-        code, out, err = run(capsys, "--config", str(cfg), "egf", "--k", "2")
-        assert (code, out) == (2, "")
-        assert err == f"error: usage: {cfg}:2: {message}\n"
-
-    def test_unknown_environment_variable_is_ignored(self, capsys, monkeypatch):
+    def test_unknown_environment_variable_is_ignored(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FLATSTIR_TRUNCATION_ORDER", "5")
         monkeypatch.setenv("FLATSTIR_OEIS_TIMEOUT", "soon")
         code, out, _ = run(capsys, "egf", "--k", "2")
         assert code == 0
         assert len(out.splitlines()) == 33  # orders 0..32, the --order default
-
-    BAD_SIZES = [
-        ("budget", "-1", ">= 0"),
-    ]
-
-    @pytest.mark.parametrize("key,value,rule", BAD_SIZES, ids=[f"{k}={v}" for k, v, _ in BAD_SIZES])
-    def test_bad_size_in_file_names_path_and_line(self, capsys, tmp_path, key, value, rule):
-        cfg = tmp_path / "flatstir.conf"
-        cfg.write_text(f"# sizes\n{key} = {value}\n")
-        code, out, err = run(capsys, "--config", str(cfg), "egf", "--k", "2")
-        assert code == 2
-        assert out == ""
-        assert err == f"error: usage: {cfg}:2: {key} must be {rule}, got {value}\n"
-
-    @pytest.mark.parametrize("key,value,rule", BAD_SIZES, ids=[f"{k}={v}" for k, v, _ in BAD_SIZES])
-    def test_bad_size_in_environment_names_the_variable(self, capsys, monkeypatch, key, value,
-                                                        rule):
-        var = f"FLATSTIR_{key.upper()}"
-        monkeypatch.setenv(var, value)
-        code, out, err = run(capsys, "egf", "--k", "2")
-        assert code == 2
-        assert out == ""
-        assert err == f"error: usage: environment {var}: {key} must be {rule}, got {value}\n"
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["enumerate", "--n", "3", "--k", "2"],
-            ["count", "--n", "3", "--k", "2", "--method", "bruteforce"],
-            ["poly", "--n", "3", "--k", "2", "--method", "bruteforce"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_negative_budget_flag_names_the_flag(self, capsys, argv):
-        code, out, err = run(capsys, *argv, "--budget", "-1")
-        assert code == 2
-        assert out == ""
-        assert err == "error: usage: --budget must be >= 0, got -1\n"
+        # the removed budget settings: neither variable nor file is read
+        conf = tmp_path / "flatstir.conf"
+        conf.write_text("budget = 1\n")
+        monkeypatch.setenv("FLATSTIR_BUDGET", "1")
+        monkeypatch.setenv("FLATSTIR_CONFIG", str(conf))
+        monkeypatch.setenv("XDG_CONFIG_HOME", str(tmp_path))
+        argv = ["count", "--n", "5", "--k", "2", "--method", "bruteforce"]
+        assert run(capsys, *argv) == (0, "116\n", "")
 
 
 class TestVerify:
@@ -678,15 +596,6 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 12
         assert all(l.startswith("PASS") for l in lines)
-
-    def test_budget_setting_does_not_reach_verify(self, capsys, tmp_path, monkeypatch):
-        """verify's walks have fixed sizes under the default cap, so a configured
-        budget, however small, does not fail its checks."""
-        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("FLATSTIR_BUDGET", "1")
-        code, out, _ = run(capsys, "verify", "--offline", "--max-n", "2")
-        assert code == 0
-        assert out.count("PASS") == 12
 
     def test_a_failed_check_exits_1(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
@@ -752,24 +661,28 @@ def _exit_code(argv):
 
 def test_cli_surface(capsys):
     """Every help text formats, the removed flags are usage errors, and the
-    README's Configuration block lists exactly the config keys."""
+    README's Configuration section names each remaining setting."""
     assert _exit_code(["--help"]) == 0
-    helps = {}
+    helps = {"flatstir": capsys.readouterr().out}
     for command in SUBCOMMANDS:
         assert _exit_code([command, "--help"]) == 0, command
         helps[command] = capsys.readouterr().out
     assert "--precision-bits" not in helps["count"]
     assert "--max-k" not in helps["verify"]
+    for flag in ("--budget", "--config"):
+        assert [name for name, text in helps.items() if flag in text] == [], flag
     series = ["count", "--n", "5", "--k", "2", "--method", "series-approx"]
-    for argv in (series + ["--precision-bits", "128"], ["verify", "--max-k", "3"]):
-        assert _exit_code(argv) == 2
+    removed = [series + ["--precision-bits", "128"], ["verify", "--max-k", "3"],
+               ["--config", "flatstir.conf", "egf", "--k", "2"]]
+    removed += [[command, "--n", "3", "--k", "2", "--budget", "5"]
+                for command in ("enumerate", "count", "poly")]
+    for argv in removed:
+        assert _exit_code(argv) == 2, argv
         assert capsys.readouterr().out == ""
     with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
         section = fh.read().split("\n### Configuration\n", 1)[1].split("\n## ", 1)[0]
-    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
-    assert tuple(line.split("=")[0].strip() for line in block.splitlines()) == _KEYS
-    for key in _KEYS:
-        assert f"`FLATSTIR_{key.upper()}`" in section, key
+    for setting in ("`FLATSTIR_CACHE_DIR`", "`XDG_CACHE_HOME`", "`--force`"):
+        assert setting in section, setting
 
 
 def test_cli_import_does_not_load_mpmath():
@@ -834,9 +747,9 @@ def _loaded_by_command(argv, modules, stdin=""):
 @pytest.mark.parametrize("argv,stdin,unused", [
     (["count", "--n", "5", "--k", "2"], "",
      ("analysis", "series", "enumeration", "bijection", "oeis")),
-    # the budget default lives in config, so the one route without counting skips it
+    # the one route without counting reads no setting, so it skips config too
     (["bijection", "--direction", "inverse", "--k", "2"], "1 1\n",
-     ("analysis", "series", "enumeration", "oeis", "counting")),
+     ("analysis", "series", "enumeration", "oeis", "counting", "config")),
     # |Q_n^k| is a product, not an enumeration
     (["table", "--k", "2", "--max-n", "4"], "", ("enumeration", "bijection")),
 ], ids=["count", "bijection", "table"])

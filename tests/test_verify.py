@@ -39,10 +39,10 @@ def test_descent_transport_failure_names_the_partition(tmp_path, monkeypatch):
     count = verify.block_descent_count
     monkeypatch.setattr(verify, "block_descent_count", lambda p: count(p) + 1)
     details = _details(tmp_path)
-    assert details["statistic-properties"] == (
+    assert details["bijection-round-trip"] == (
         False, "AssertionError: descent transport failed for 1_1"
     )
-    assert details["bijection-round-trip"][0]
+    assert details["statistic-properties"][0]
 
 
 def test_image_set_failure_names_the_order(tmp_path, monkeypatch):
