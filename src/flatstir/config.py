@@ -1,12 +1,12 @@
-"""The two deployment defaults: the enumeration cap and the b-file cache path.
+"""The two deployment defaults: the enumeration cap and the b-file directory.
 
 `DEFAULT_BUDGET` caps a walk's size unless `budget=None` (`--force` on
 the command line) lifts it; `counting`, `enumeration` and `analysis`
-import it from here.  `default_cache_dir` resolves the OEIS client's cache
-directory from the environment: `FLATSTIR_CACHE_DIR`, else
-`$XDG_CACHE_HOME/flatstir/oeis`, else `~/.cache/flatstir/oeis`.  Nothing
-else is read: there is no config file, and any other `FLATSTIR_*`
-variable is ignored.
+import it from here.  `default_cache_dir` resolves the directory that the
+OEIS client reads saved b-files from (it writes nothing there) from the
+environment: `FLATSTIR_CACHE_DIR`, else `$XDG_CACHE_HOME/flatstir/oeis`,
+else `~/.cache/flatstir/oeis`.  Nothing else is read: there is no config
+file, and any other `FLATSTIR_*` variable is ignored.
 """
 
 from __future__ import annotations

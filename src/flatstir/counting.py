@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from itertools import accumulate, islice
 from math import comb, factorial, prod
-from operator import add, mul
+from operator import add, gt, mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .config import DEFAULT_BUDGET
@@ -275,14 +275,18 @@ class CountTable(NamedTuple):
 def run_distribution_bruteforce(
     n: int, k: int, *, budget: int | None = DEFAULT_BUDGET
 ) -> CountTableRow:
-    """Tally flattened words of order n by run count, by enumeration."""
+    """Tally flattened words of order n by run count, by enumeration.
+
+    The walk's words are trusted, so each is read for its descents alone:
+    runs = descents + 1, with no full statistics scan.
+    """
     from . import enumeration  # local import: enumeration depends on this module
-    from .words import word_stats
 
     counts: dict[int, int] = {}
     total = 0
     for w in enumeration.gen_flattened(n, k, budget=budget):
-        s = word_stats(w).runs
+        letters = w.letters
+        s = sum(map(gt, letters, letters[1:])) + 1
         counts[s] = counts.get(s, 0) + 1
         total += 1
     top = max(counts) if counts else 0

@@ -50,4 +50,4 @@ class BFileParseError(FlatstirError, ValueError):
 
 
 class AlignmentError(FlatstirError, RuntimeError):
-    """Computed terms could not be aligned with the fetched sequence prefix."""
+    """The first computed terms appear nowhere in a fetched b-file."""

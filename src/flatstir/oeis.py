@@ -1,19 +1,19 @@
 """Cross-checks of computed counts against published integer sequences.
 
-The three sequences tied to k = 2, 3, 4 are fetched as b-files (plain
-text, "index value" per line, '#' comments) by one path: the network
-(a fixed 10 s socket timeout, one retry), whose verbatim bytes are cached
-on disk (atomic write), then the cache.
-When neither has the data, the check compares against an embedded prefix
-computed by the Stirling-number identity (the check itself uses one pass
-of the derivative triangle), so the offline path never relies on
-unverified third-party data and still compares two different derivations.
+The three sequences tied to k = 2, 3, 4 are read as b-files (plain text,
+"index value" per line, '#' comments) by one path: the network (a fixed
+10 s socket timeout, one retry), then a b-file the user saved in the
+cache directory.  Nothing is written: a fetched b-file is used and
+dropped.  When neither has the data, the check compares against an
+embedded prefix computed by the Stirling-number identity (the check
+itself uses one pass of the derivative triangle), so the offline path
+never relies on unverified third-party data and still compares two
+different derivations.
 
 The index offset of fetched data is not assumed: the first three computed
-terms are located inside the fetched prefix and the resulting shift is
-pinned in a small file next to the cache.  A pinned shift that stops
-matching is surfaced as an alignment error, never silently re-guessed.
-The embedded prefix is aligned by construction: shift 0, no pin.
+terms are located inside the fetched prefix on every run, and the first
+shift where they appear is used.  Data that hold them nowhere raise an
+alignment error.  The embedded prefix is aligned by construction: shift 0.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _fetch(sequence_id: str, cache_dir: str, offline: bool) -> tuple[str, tuple[int, ...]] | None:
-    """(source, values) of a b-file from the network, which writes the cache,
-    or else from the cache; None when neither has the data."""
+    """(source, values) of a b-file from the network, else from a file the user
+    saved in the cache directory; None when neither has the data."""
     cache_path = os.path.join(cache_dir, f"b{sequence_id[1:]}.txt")
     if not offline:
         import urllib.error  # local import: only a fetch pays for the HTTP stack
@@ -64,28 +64,11 @@ def _fetch(sequence_id: str, cache_dir: str, offline: bool) -> tuple[str, tuple[
                     text = resp.read().decode("utf-8")
             except (urllib.error.URLError, OSError, ValueError):
                 continue
-            values = tuple(v for _, v in parse_bfile(text))
-            _atomic_write(cache_path, text.encode())
-            return "network", values
+            return "network", tuple(v for _, v in parse_bfile(text))
     if os.path.exists(cache_path):
         with open(cache_path, "r", encoding="utf-8") as fh:
             return "cache", tuple(v for _, v in parse_bfile(fh.read()))
     return None
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    import tempfile  # local import: its imports are a large share of the cold start
-
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 class CheckRow(NamedTuple):
@@ -117,7 +100,7 @@ def cross_check(
     """Compare computed counts of order n+1, n = 0..max_n, with a sequence.
 
     Only k in {2, 3, 4} carries a published correspondence.  Fetched data
-    is aligned and pinned, embedded data is compared at shift 0 (see module
+    is aligned on every run, embedded data is compared at shift 0 (see module
     docstring); every comparison is exact integer equality.
     """
     if k not in SEQUENCE_BY_K:
@@ -133,7 +116,7 @@ def cross_check(
         values = tuple(count_flattened_identity(n + 1, k) for n in range(_EMBEDDED_TERMS))
     else:
         source, values = fetched
-        shift = _align(sequence_id, computed[:3], values, cache_dir)
+        shift = _align(computed[:3], values)
     rows = []
     for n in range(max_n + 1):
         idx = shift + n
@@ -143,52 +126,9 @@ def cross_check(
     return CrossCheckReport(k, sequence_id, source, shift, tuple(rows))
 
 
-def _align(
-    sequence_id: str, head: list[int], values: tuple[int, ...], cache_dir: str
-) -> int:
-    """Locate the first three computed terms in the fetched values.
-
-    The resulting shift is pinned under the cache directory; a pin that no
-    longer matches raises instead of re-guessing.
-    """
-    path = os.path.join(cache_dir, "offsets.conf")
-    pins = _read_pins(path)
-    if sequence_id in pins:
-        shift = pins[sequence_id]
-        if tuple(values[shift : shift + len(head)]) != tuple(head):
-            raise AlignmentError(
-                f"{sequence_id}: pinned offset {shift} no longer matches the computed terms"
-            )
-        return shift
+def _align(head: list[int], values: tuple[int, ...]) -> int:
+    """The first shift at which the fetched values hold the computed head."""
     for shift in range(len(values) - len(head) + 1):
         if tuple(values[shift : shift + len(head)]) == tuple(head):
-            pins[sequence_id] = shift
-            body = "".join(f"{key}={value}\n" for key, value in sorted(pins.items()))
-            _atomic_write(path, body.encode())
             return shift
-    raise AlignmentError(
-        f"{sequence_id}: computed terms {head} not found in the fetched prefix"
-    )
-
-
-def _read_pins(path: str) -> dict[str, int]:
-    if not os.path.exists(path):
-        return {}
-    pins = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            try:
-                offset = int(value.strip())
-            except ValueError:
-                raise AlignmentError(
-                    f"{path}:{lineno}: expected 'sequence=offset', got {line!r}"
-                ) from None
-            if offset < 0:  # a negative shift would index the data from its end
-                raise AlignmentError(f"{path}:{lineno}: offset must be >= 0, got {line!r}")
-            pins[key.strip()] = offset
-    return pins
-
+    raise AlignmentError(f"computed terms {head} not found in the fetched prefix")

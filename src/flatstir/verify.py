@@ -16,7 +16,8 @@ sets and tests descent transport (k <= 3) in the same walk, and the
 statistic check classifies each word with one scan.  Every walk has a
 fixed size, at most |Q_8^2|, far under the generators' default cap.
 `VerifyLimits` carries what a run varies: the largest order, whether the
-sequence check stays offline, and its cache directory.
+sequence check stays offline, and the directory it reads saved b-files
+from.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ asserted here is exact equality at the stated ranges.
 """
 
 import io
+import os
 import tempfile
 import time
 from contextlib import contextmanager
@@ -167,8 +168,8 @@ def test_criterion_09_bell_reduction(capsys):
 def test_criterion_10_oeis(capsys, monkeypatch):
     # The fetched half is served locally, so the suite needs no network: each
     # b-file holds the identity's terms after one extra leading term, which
-    # takes every run through the network read, the cache write and a shift-1
-    # alignment.  The live sequences are checked by `flatstir oeis --k K`.
+    # takes every run through the network read and a shift-1 alignment, and
+    # nothing is written.  The live sequences are checked by `flatstir oeis --k K`.
     bfiles = {}
     for k, sequence_id in SEQUENCE_BY_K.items():
         values = [1] + [fs.count_flattened_identity(n, k) for n in range(1, 12)]
@@ -187,6 +188,7 @@ def test_criterion_10_oeis(capsys, monkeypatch):
                 assert (report.source, report.shift) == ("network", 1)
                 if k == 2:
                     assert report.compared >= 10
+            assert os.listdir(tmp) == []
         with tempfile.TemporaryDirectory() as tmp:
             for k in (2, 3, 4):
                 offline = fs.cross_check(k, 9, offline=True, cache_dir=tmp)

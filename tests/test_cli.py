@@ -9,6 +9,8 @@ import pytest
 from flatstir import gen_flattened, gen_gcp, verify
 from flatstir.cli import main
 from flatstir.config import default_cache_dir
+from flatstir.counting import count_flattened_identity
+from flatstir.oeis import SEQUENCE_BY_K
 from flatstir.verify import REFERENCE_RUNS_K2
 
 EXAMPLE_PARTITION = "1_1 2_3 4_2 6_3 | 3_1 | 5_1"
@@ -420,32 +422,6 @@ class TestOeis:
         assert out == ""
         assert err == f"error: usage: --max-n must be >= 2, got {max_n}\n"
 
-    def test_corrupt_pin_names_file_and_line(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
-        # pins are read only to align fetched data, here a cached b-file
-        cached = "\n".join(f"{i} {v}" for i, v in enumerate([1, 2, 6, 24, 116, 648]))
-        (tmp_path / "b007405.txt").write_text(cached + "\n")
-        pins = tmp_path / "offsets.conf"
-        pins.write_text("# pinned offsets\nA007405=abc\n")
-        code, out, err = run(capsys, "oeis", "--k", "2", "--offline")
-        assert code == 4
-        assert out == ""
-        # unusable data, found with no network involved
-        assert err == f"error: data: {pins}:2: expected 'sequence=offset', got 'A007405=abc'\n"
-
-    def test_negative_pin_names_file_and_line(self, capsys, tmp_path, monkeypatch):
-        # a negative shift used to index the b-file from its end: "shift -11",
-        # then n = 11 and 12 reported as MISMATCH against the wrapped-around data
-        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
-        values = [1, 1, 2, 6, 24, 116, 648, 4088, 28640, 219920, 1832224, 16430176]
-        cached = "\n".join(f"{i} {v}" for i, v in enumerate(values, start=-1))
-        (tmp_path / "b007405.txt").write_text(cached + "\n")
-        pins = tmp_path / "offsets.conf"
-        pins.write_text("A007405=-11\n")
-        code, out, err = run(capsys, "oeis", "--k", "2", "--offline", "--max-n", "12")
-        assert (code, out) == (4, "")
-        assert err == f"error: data: {pins}:1: offset must be >= 0, got 'A007405=-11'\n"
-
     def test_corrupt_cached_bfile_is_a_data_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
         (tmp_path / "b007405.txt").write_text("0 1\n1 two\n")
@@ -454,8 +430,7 @@ class TestOeis:
         assert err == "error: data: line 2: non-integer field in '1 two'\n"
 
     def test_offline_run_pins_nothing(self, capsys, tmp_path, monkeypatch):
-        # an embedded run used to pin shift 0, and a later cached b-file whose
-        # data start one term earlier then failed with "pinned offset 0"
+        # the shift of a saved b-file is found on every run and never stored
         monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
         code, out, _ = run(capsys, "oeis", "--k", "2", "--offline")
         assert code == 0
@@ -464,10 +439,33 @@ class TestOeis:
         values = [1, 1, 2, 6, 24, 116, 648, 4088, 28640, 219920, 1832224, 16430176]
         cached = "\n".join(f"{i} {v}" for i, v in enumerate(values, start=-1))
         (tmp_path / "b007405.txt").write_text(cached + "\n")
-        code, out, err = run(capsys, "oeis", "--k", "2", "--offline")
-        assert (code, err) == (0, "")
-        assert out.splitlines()[0] == "A007405 (source: cache, shift 1)"
-        assert (tmp_path / "offsets.conf").read_text() == "A007405=1\n"
+        for _ in range(2):
+            code, out, err = run(capsys, "oeis", "--k", "2", "--offline")
+            assert (code, err) == (0, "")
+            assert out.splitlines()[0] == "A007405 (source: cache, shift 1)"
+            assert [p.name for p in tmp_path.iterdir()] == ["b007405.txt"]
+
+    def test_nothing_is_persisted(self, capsys, tmp_path, monkeypatch):
+        # served b-files hold the identity's terms after one extra leading term
+        bfiles = {}
+        for k, sequence_id in SEQUENCE_BY_K.items():
+            values = [1] + [count_flattened_identity(n, k) for n in range(1, 12)]
+            rows = "".join(f"{i} {v}\n" for i, v in enumerate(values, start=-1))
+            bfiles[f"/b{sequence_id[1:]}.txt"] = rows.encode()
+
+        def local_urlopen(url, timeout=None):
+            return io.BytesIO(bfiles[url[url.rindex("/"):]])  # a response, as far as reads go
+
+        monkeypatch.setattr("urllib.request.urlopen", local_urlopen)
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        code, out, _ = run(capsys, "oeis", "--k", "2")
+        assert (code, out.splitlines()[0]) == (0, "A007405 (source: network, shift 1)")
+        code, out, _ = run(capsys, "oeis", "--k", "2", "--offline")
+        assert (code, out.splitlines()[0]) == (0, "A007405 (source: embedded, shift 0)")
+        code, out, _ = run(capsys, "verify", "--max-n", "3")
+        assert code == 0
+        assert "A007405:network, A355164:network, A355167:network" in out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConjecture:

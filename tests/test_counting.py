@@ -20,8 +20,10 @@ from flatstir import (
     count_table,
     descent_egf,
     egf_flattened,
+    gen_flattened,
     max_runs_bound,
     run_distribution_bruteforce,
+    word_stats,
 )
 from flatstir.counting import _next_stirling_row, flattened_totals
 
@@ -288,6 +290,16 @@ class TestRunDistribution:
 
     def test_n3_k3(self):
         assert run_distribution_bruteforce(3, 3).run_refined == (1, 9, 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_descent_tally_equals_the_word_stats_tally(self, k):
+        for n in range(1, 7):
+            counts = {}
+            for w in gen_flattened(n, k):
+                runs = word_stats(w).runs
+                counts[runs] = counts.get(runs, 0) + 1
+            expected = tuple(counts.get(s, 0) for s in range(1, max(counts) + 1))
+            assert run_distribution_bruteforce(n, k).run_refined == expected, f"n={n}"
 
     def test_row_invariant(self):
         with pytest.raises(AssertionError, match="does not sum to total 5"):

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -162,6 +163,10 @@ class TestGcpGenerator:
         keys = [growth_string_then_colors(p) for p in gen_gcp(n, k)]
         assert keys == sorted(set(keys))
 
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(1, 4)])
+    def test_stream_equals_a_literal_enumeration(self, n, k):
+        assert list(gen_gcp(n, k)) == literal_gcp(n, k)
+
     def test_walk_is_lazy(self):
         # the first block's colorings alone are 199^2 tuples, about 3 MB
         tracemalloc.start()
@@ -179,6 +184,24 @@ class TestGcpGenerator:
         kept = list(_set_partitions(n))
         assert len(set(kept)) == len(kept) == bell_number(n)
         assert all(sorted(e for b in blocks for e in b) == list(range(1, n + 1)) for blocks in kept)
+
+
+def literal_gcp(n, k):
+    """GCP_k(n) from the definitions, in stream order: restricted growth
+    strings ascending, then the non-minimum elements' colors ascending, block
+    by block; minima take color 1, the first block's other elements 1..k-1."""
+    out = []
+    for growth in product(range(n), repeat=n):
+        if any(g > max(growth[:i], default=-1) + 1 for i, g in enumerate(growth)):
+            continue
+        blocks = [[e for e in range(1, n + 1) if growth[e - 1] == b] for b in range(max(growth) + 1)]
+        ranges = [range(1, k) if b == 0 else range(1, k + 1)
+                  for b, block in enumerate(blocks) for _ in block[1:]]
+        for colors in product(*ranges):
+            it = iter(colors)
+            colored = [[(block[0], 1)] + [(e, next(it)) for e in block[1:]] for block in blocks]
+            out.append(ColoredPartition(n, k, colored))
+    return out
 
 
 def growth_string_then_colors(p):

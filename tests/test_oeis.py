@@ -57,7 +57,8 @@ class TestParse:
 
 
 class TestFetch:
-    """Network, then cache, then embedded terms, as `cross_check` reports them."""
+    """Network, then a saved b-file, then embedded terms, as `cross_check`
+    reports them; none of them writes to the directory."""
 
     def test_offline_embedded(self, tmp_path):
         report = cross_check(2, 9, cache_dir=str(tmp_path), offline=True)
@@ -82,12 +83,11 @@ class TestFetch:
         url, timeout = calls[0]
         assert "b007405.txt" in url
         assert timeout == 10.0  # the fetch's fixed socket timeout
-        cache_file = tmp_path / "b007405.txt"
-        assert cache_file.read_text() == text  # verbatim bytes
+        assert list(tmp_path.iterdir()) == []  # the fetched b-file is not kept
 
         offline = cross_check(2, 9, cache_dir=str(tmp_path), offline=True)
-        assert offline.source == "cache"
-        assert offline.rows == got.rows
+        assert offline.source == "embedded"
+        assert offline.all_match and offline.compared == 10
         assert len(calls) == 1
 
     def test_network_failure_falls_back_to_cache(self, tmp_path, monkeypatch):
@@ -134,20 +134,13 @@ class TestCrossCheck:
         report = cross_check(2, 9, offline=True, cache_dir=str(tmp_path))
         assert report.shift == 2
         assert report.all_match
-        pins = (tmp_path / "offsets.conf").read_text()
-        assert "A007405=2" in pins
+        assert [p.name for p in tmp_path.iterdir()] == ["b007405.txt"]  # no pin file
 
     def test_pinned_shift_reused(self, tmp_path):
         (tmp_path / "b007405.txt").write_text(fake_bfile_text([7, 9] + K2_PREFIX, -2))
         first = cross_check(2, 5, offline=True, cache_dir=str(tmp_path))
         second = cross_check(2, 5, offline=True, cache_dir=str(tmp_path))
         assert first.shift == second.shift == 2
-
-    def test_stale_pin_raises(self, tmp_path):
-        (tmp_path / "b007405.txt").write_text(fake_bfile_text(K2_PREFIX))
-        (tmp_path / "offsets.conf").write_text("A007405=3\n")
-        with pytest.raises(AlignmentError):
-            cross_check(2, 5, offline=True, cache_dir=str(tmp_path))
 
     def test_unalignable_data_raises(self, tmp_path):
         (tmp_path / "b007405.txt").write_text(fake_bfile_text([5, 5, 5, 5, 5]))
@@ -194,5 +187,17 @@ class TestCrossCheck:
         (tmp_path / "offsets.conf").write_text(pins)
         report = cross_check(2, 9, offline=True, cache_dir=str(tmp_path))
         assert report.source == "embedded" and report.shift == 0
+        assert report.all_match
+        assert (tmp_path / "offsets.conf").read_text() == pins
+
+    @pytest.mark.parametrize("pins", ["A007405=0\n", "A007405=-3\n", "A007405=abc\n"],
+                             ids=["wrong", "negative", "corrupt"])
+    def test_leftover_pin_file_ignored_for_a_saved_bfile(self, tmp_path, pins):
+        # earlier versions pinned the shift in offsets.conf; the shift is now found
+        # on every run, and a leftover pin file is neither read nor rewritten
+        (tmp_path / "b007405.txt").write_text(fake_bfile_text([7, 9] + K2_PREFIX, -2))
+        (tmp_path / "offsets.conf").write_text(pins)
+        report = cross_check(2, 9, offline=True, cache_dir=str(tmp_path))
+        assert (report.source, report.shift) == ("cache", 2)
         assert report.all_match
         assert (tmp_path / "offsets.conf").read_text() == pins
