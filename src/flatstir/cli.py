@@ -2,8 +2,8 @@
 
 All results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification mismatch or series term cap hit, 2 usage error, 3 budget
-exceeded or out of memory, 4 unusable sequence data: a fetched b-file that
-does not parse or align (`error: data:`).
+exceeded or out of memory, 4 unusable sequence data: a fetched or saved
+b-file that does not parse or align (`error: data:`, then its URL or path).
 
 A module that only some commands use is imported where it is used: the
 standard library's `fractions`, `decimal` and `json`, `config`, and each
@@ -15,8 +15,9 @@ so `words` and `partitions` are the only route modules loaded up front.
 There is no config file.  `--force` lifts the enumeration cap
 (`config.DEFAULT_BUDGET`) on `enumerate`, `count` and `poly`; the one
 setting outside the flags, the directory that `oeis` reads saved b-files
-from, comes from the environment through `config.default_cache_dir`, which
-`oeis` calls itself.
+from, is `FLATSTIR_CACHE_DIR`, which `oeis` reads itself; unset or empty,
+no saved b-file is read.  JSON input (`bijection --format json`) is
+checked once, by the `StirlingWord` or `ColoredPartition` constructor.
 """
 
 from __future__ import annotations

@@ -3,8 +3,11 @@
 The three sequences tied to k = 2, 3, 4 are read as b-files (plain text,
 "index value" per line, '#' comments) by one path: the network (a fixed
 10 s socket timeout, one retry), then a b-file the user saved in the
-cache directory.  Nothing is written: a fetched b-file is used and
-dropped.  When neither has the data, the check compares against an
+directory that `FLATSTIR_CACHE_DIR` names (or the `cache_dir` argument);
+when no directory is named, no saved b-file is read.  Nothing is written:
+a fetched b-file is used and dropped.  A b-file that does not parse or
+align raises an error that starts with its path or URL.  When neither
+source has the data, the check compares against an
 embedded prefix computed by the Stirling-number identity (the check
 itself uses one pass of the derivative triangle), so the offline path
 never relies on unverified third-party data and still compares two
@@ -21,7 +24,6 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from .config import default_cache_dir
 from .counting import count_flattened_identity, flattened_totals
 from .errors import AlignmentError, BFileParseError, DomainError
 
@@ -49,25 +51,27 @@ def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(rows)
 
 
-def _fetch(sequence_id: str, cache_dir: str, offline: bool) -> tuple[str, tuple[int, ...]] | None:
-    """(source, values) of a b-file from the network, else from a file the user
-    saved in the cache directory; None when neither has the data."""
-    cache_path = os.path.join(cache_dir, f"b{sequence_id[1:]}.txt")
+def _fetch(sequence_id: str, cache_dir: str, offline: bool) -> tuple[str, str, str] | None:
+    """(source, path or URL, text) of a b-file from the network, else from a
+    file the user saved in `cache_dir` (if one is named); None when neither
+    has the data."""
+    name = f"b{sequence_id[1:]}.txt"
     if not offline:
         import urllib.error  # local import: only a fetch pays for the HTTP stack
         import urllib.request
 
-        url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
+        url = f"https://oeis.org/{sequence_id}/{name}"
         for _ in range(2):  # one retry
             try:
                 with urllib.request.urlopen(url, timeout=_FETCH_TIMEOUT) as resp:
-                    text = resp.read().decode("utf-8")
+                    return "network", url, resp.read().decode("utf-8")
             except (urllib.error.URLError, OSError, ValueError):
                 continue
-            return "network", tuple(v for _, v in parse_bfile(text))
-    if os.path.exists(cache_path):
-        with open(cache_path, "r", encoding="utf-8") as fh:
-            return "cache", tuple(v for _, v in parse_bfile(fh.read()))
+    if cache_dir:
+        cache_path = os.path.join(cache_dir, name)
+        if os.path.exists(cache_path):
+            with open(cache_path, "r", encoding="utf-8") as fh:
+                return "cache", cache_path, fh.read()
     return None
 
 
@@ -101,22 +105,27 @@ def cross_check(
 
     Only k in {2, 3, 4} carries a published correspondence.  Fetched data
     is aligned on every run, embedded data is compared at shift 0 (see module
-    docstring); every comparison is exact integer equality.
+    docstring); every comparison is exact integer equality.  Saved b-files
+    are read from `cache_dir`, else from `FLATSTIR_CACHE_DIR`, else not at all.
     """
     if k not in SEQUENCE_BY_K:
         raise DomainError(f"no cited sequence for k={k}; only k in {sorted(SEQUENCE_BY_K)}")
     if max_n < 2:
         raise DomainError("need max_n >= 2: alignment uses the first three terms")
     sequence_id = SEQUENCE_BY_K[k]
-    cache_dir = cache_dir or default_cache_dir()
+    cache_dir = cache_dir or os.environ.get("FLATSTIR_CACHE_DIR", "")
     fetched = _fetch(sequence_id, cache_dir, offline)
     computed = flattened_totals(k, max_n + 1)
     if fetched is None:
         source, shift = "embedded", 0
         values = tuple(count_flattened_identity(n + 1, k) for n in range(_EMBEDDED_TERMS))
     else:
-        source, values = fetched
-        shift = _align(computed[:3], values)
+        source, where, text = fetched
+        try:
+            values = tuple(v for _, v in parse_bfile(text))
+            shift = _align(computed[:3], values)
+        except (BFileParseError, AlignmentError) as exc:
+            raise type(exc)(f"{where}: {exc}") from None
     rows = []
     for n in range(max_n + 1):
         idx = shift + n

@@ -13,16 +13,17 @@ the first block, so the first block must be exactly {1}.
 Constructors normalize arbitrary block orderings into standard notation.
 Coloring rules are a separate predicate (`first_failed_rule`) so that
 rule-breaking partitions remain representable for negative tests;
-`require_good` raises naming the first failed rule.  The constructor and
-the parsers (`parse_partition`, `partition_from_json`) validate: n, k and
-every element and color must be ints (a bool, float or numeric string is
-refused, not coerced), and `blocks` and each block must be iterable.  The
-generator in `enumeration` and `bijection.phi_inverse` build good
-partitions in standard notation by construction and go through
-`_trusted_partition`, so they are not re-validated.  Either path sets
-the fields only through the slots' member descriptors (`_set_n`, `_set_k`,
-`_set_blocks`); ColoredPartition is a `__slots__` class on `words._Value`,
-which refuses any other assignment.
+`require_good` raises naming the first failed rule.  The constructor is
+the one check on a partition: n, k and every element and color must be
+ints (a bool, float or numeric string is refused, not coerced), `blocks`
+and each block must be iterable, and each member a pair.  The parsers
+(`parse_partition`, `partition_from_json`) only read their format and pass
+what they read to it.  The generator in `enumeration` and
+`bijection.phi_inverse` build good partitions in standard notation by
+construction and go through `_trusted_partition`, so they are not
+re-validated.  Either path sets the fields only through the slots' member
+descriptors (`_set_n`, `_set_k`, `_set_blocks`); ColoredPartition is a
+`__slots__` class on `words._Value`, which refuses any other assignment.
 
 `to_text` and `to_json` format each block once and join the pieces: a
 walk yields many partitions but few distinct blocks (GCP_2(8) has 28,640
@@ -188,15 +189,6 @@ def parse_partition(text: str, k: int) -> ColoredPartition:
 
 
 def partition_from_json(text: str) -> ColoredPartition:
-    """Parse `to_json`'s format; every number must be a JSON integer."""
-    fields = _json_fields(text, "partition", ("n", "k", "blocks"), MalformedPartitionError,
-                          _partition_fields)
-    return ColoredPartition(*fields)
-
-
-def _partition_fields(n, k, blocks):
-    try:
-        blocks = tuple(tuple((e, c) for e, c in b) for b in blocks)
-    except (TypeError, ValueError):  # not an array of arrays of pairs
-        raise MalformedPartitionError("blocks must be arrays of [element, color] pairs") from None
-    return (n, k, blocks), (n, k, *(x for b in blocks for pair in b for x in pair))
+    """Parse `to_json`'s format; the constructor checks the fields."""
+    keys = ("n", "k", "blocks")
+    return ColoredPartition(*_json_fields(text, "partition", keys, MalformedPartitionError))

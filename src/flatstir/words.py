@@ -8,13 +8,14 @@ leading letters of its runs are weakly increasing left to right.
 
 The StirlingWord type only enforces the multiset shape; the Stirling and
 flattened conditions are separate predicates so that invalid words remain
-constructible for negative tests.  Every public way in (the constructor,
-`parse_word`, `word_from_json`) validates: the order, the multiplicity and
-every letter must be ints (a bool or float is refused, not coerced), and
-the letters are stored as a tuple.  The generators in `enumeration`
-and `bijection.phi` build words that are correct by construction through
-`_trusted_word` (the generators test them with `_leaders_weakly_increase`),
-so those words are trusted and not re-validated.
+constructible for negative tests.  The constructor is the one check on a
+word: the order, the multiplicity and every letter must be ints (a bool or
+float is refused, not coerced), and the letters are stored as a tuple.
+`parse_word` and `word_from_json` only read their format and pass what
+they read to it.  The generators in `enumeration` and `bijection.phi`
+build words that are correct by construction through `_trusted_word` (the
+generators test them with `_leaders_weakly_increase`), so those words are
+trusted and not re-validated.
 
 StirlingWord, like ColoredPartition and the series types, is a plain
 `__slots__` class on `_Value` with hand-written methods: the standard
@@ -42,7 +43,7 @@ the words are Stirling by construction and the counts are not wanted.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import MalformedWordError, NotStirlingError
 
@@ -90,13 +91,13 @@ class StirlingWord(_Value):
             )
         for v in letters:
             if type(v) is not int:  # a bool or a float compares equal to an int
-                raise _not_the_multiset(n, k, f": letter {v!r} is not an integer")
+                raise MalformedWordError(f"letter {v!r} is not an integer")
         # sorted, the multiset is 1^k 2^k ... n^k: the first and the last
         # copy of every value sit at fixed places
         s = sorted(letters)
         r = list(range(1, n + 1))
         if s[::k] != r or s[k - 1::k] != r:
-            raise _not_the_multiset(n, k)
+            raise MalformedWordError(f"letters are not the multiset {{1^{k}, ..., {n}^{k}}}")
         _set_letters(self, letters)
         _set_order(self, order)
         _set_multiplicity(self, multiplicity)
@@ -134,10 +135,6 @@ def _trusted_word(letters: tuple[int, ...], order: int, multiplicity: int) -> St
     return w
 
 
-def _not_the_multiset(n: int, k: int, detail: str = "") -> MalformedWordError:
-    return MalformedWordError(f"letters are not the multiset {{1^{k}, ..., {n}^{k}}}{detail}")
-
-
 def _iterate(value, what: str, error: type[Exception]) -> Iterator:
     """`iter(value)`; a value that is not iterable raises `error` naming it."""
     try:
@@ -169,21 +166,14 @@ def parse_word(text: str, multiplicity: int) -> StirlingWord:
 
 
 def word_from_json(text: str) -> StirlingWord:
-    """Parse `to_json`'s format; every number must be a JSON integer."""
+    """Parse `to_json`'s format; the constructor checks the fields."""
     keys = ("letters", "order", "multiplicity")
-    return StirlingWord(*_json_fields(text, "word", keys, MalformedWordError, _word_fields))
+    return StirlingWord(*_json_fields(text, "word", keys, MalformedWordError))
 
 
-def _word_fields(letters, order, multiplicity):
-    if type(letters) is not list:
-        raise MalformedWordError("letters must be a JSON array")
-    return (tuple(letters), order, multiplicity), (*letters, order, multiplicity)
-
-
-def _json_fields(text: str, what: str, keys: tuple[str, ...], error: type[Exception],
-                 shape: Callable[..., tuple[tuple, tuple]]) -> tuple:
-    """`shape(*values)` of the JSON object with `keys`: the constructor's arguments
-    and the numbers in them, each of which must be a JSON integer."""
+def _json_fields(text: str, what: str, keys: tuple[str, ...], error: type[Exception]) -> list:
+    """The values at `keys` of the JSON object in `text`, unchecked: the
+    value type's constructor is their one check."""
     import json  # local import: only JSON input needs it
 
     obj = json.loads(text)
@@ -192,11 +182,7 @@ def _json_fields(text: str, what: str, keys: tuple[str, ...], error: type[Except
     missing = [key for key in keys if key not in obj]
     if missing:
         raise error(f"JSON {what} lacks {', '.join(map(repr, missing))}")
-    args, numbers = shape(*map(obj.get, keys))
-    for v in numbers:
-        if type(v) is not int:  # a JSON float or a bool compares equal to an int
-            raise error(f"expected a JSON integer, got {json.dumps(v)}")
-    return args
+    return [obj[key] for key in keys]
 
 
 def _scan(w: StirlingWord) -> tuple[bool, bool, int, int, int]:

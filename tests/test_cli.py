@@ -8,7 +8,6 @@ import pytest
 
 from flatstir import gen_flattened, gen_gcp, verify
 from flatstir.cli import main
-from flatstir.config import default_cache_dir
 from flatstir.counting import count_flattened_identity
 from flatstir.oeis import SEQUENCE_BY_K
 from flatstir.verify import REFERENCE_RUNS_K2
@@ -182,7 +181,7 @@ class TestBijection:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: usage: expected a JSON integer, got 2.9\n"
+        assert err == "error: usage: element and color must be integers, got (2.9, 1.7)\n"
 
     def test_json_bool_in_word_is_usage_error(self, capsys, monkeypatch):
         # true == 1, so the letters [true, true] pass the multiset check
@@ -193,7 +192,7 @@ class TestBijection:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: usage: expected a JSON integer, got true\n"
+        assert err == "error: usage: letter True is not an integer\n"
 
     def test_json_word_sent_forward_is_usage_error(self, capsys, monkeypatch):
         # a partition object was expected: the parser looked up "blocks"
@@ -427,7 +426,16 @@ class TestOeis:
         (tmp_path / "b007405.txt").write_text("0 1\n1 two\n")
         code, out, err = run(capsys, "oeis", "--k", "2", "--offline")
         assert (code, out) == (4, "")
-        assert err == "error: data: line 2: non-integer field in '1 two'\n"
+        path = tmp_path / "b007405.txt"
+        assert err == f"error: data: {path}: line 2: non-integer field in '1 two'\n"
+
+    def test_unaligned_cached_bfile_is_a_data_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        (tmp_path / "b007405.txt").write_text("0 1\n1 3\n2 5\n3 7\n")
+        code, out, err = run(capsys, "oeis", "--k", "2", "--offline")
+        assert (code, out) == (4, "")
+        message = "computed terms [1, 2, 6] not found in the fetched prefix"
+        assert err == f"error: data: {tmp_path / 'b007405.txt'}: {message}\n"
 
     def test_offline_run_pins_nothing(self, capsys, tmp_path, monkeypatch):
         # the shift of a saved b-file is found on every run and never stored
@@ -552,16 +560,26 @@ class TestOutputBytes:
 
 
 class TestConfig:
-    def test_cache_dir_default_comes_from_the_given_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FLATSTIR_CACHE_DIR", "/from/os/environ")
-        monkeypatch.setenv("HOME", str(tmp_path))
-        default = os.path.join(str(tmp_path), ".cache", "flatstir", "oeis")
-        assert default_cache_dir({}) == default
-        xdg = default_cache_dir({"XDG_CACHE_HOME": "/xdg/env"})
-        assert xdg == os.path.join("/xdg/env", "flatstir", "oeis")
-        assert default_cache_dir({"FLATSTIR_CACHE_DIR": "/from/env"}) == "/from/env"
-        assert default_cache_dir({"FLATSTIR_CACHE_DIR": ""}) == default
-        assert default_cache_dir() == "/from/os/environ"
+    def test_bfile_directory_is_named_by_flatstir_cache_dir_alone(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # a shift-1 b-file in each directory that once served as the default
+        values = [1, 1, 2, 6, 24, 116, 648, 4088, 28640, 219920, 1832224, 16430176]
+        bfile = "".join(f"{i} {v}\n" for i, v in enumerate(values, start=-1))
+        home, xdg, named = tmp_path / "home", tmp_path / "xdg", tmp_path / "named"
+        for directory in (home / ".cache" / "flatstir" / "oeis", xdg / "flatstir" / "oeis", named):
+            directory.mkdir(parents=True)
+            (directory / "b007405.txt").write_text(bfile)
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+        monkeypatch.delenv("FLATSTIR_CACHE_DIR", raising=False)
+        for setting in (None, "", str(named)):
+            if setting is not None:
+                monkeypatch.setenv("FLATSTIR_CACHE_DIR", setting)
+            code, out, err = run(capsys, "oeis", "--k", "2", "--offline")
+            assert (code, err) == (0, "")
+            source = "cache, shift 1" if setting else "embedded, shift 0"
+            assert out.splitlines()[0] == f"A007405 (source: {source})"
 
     def test_flag_floors_are_checked_before_the_config(self, capsys, monkeypatch):
         monkeypatch.setenv("FLATSTIR_BUDGET", "-1")
@@ -679,7 +697,7 @@ def test_cli_surface(capsys):
         assert capsys.readouterr().out == ""
     with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
         section = fh.read().split("\n### Configuration\n", 1)[1].split("\n## ", 1)[0]
-    for setting in ("`FLATSTIR_CACHE_DIR`", "`XDG_CACHE_HOME`", "`--force`"):
+    for setting in ("`FLATSTIR_CACHE_DIR`", "`--force`"):
         assert setting in section, setting
 
 

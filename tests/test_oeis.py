@@ -110,6 +110,23 @@ class TestFetch:
         assert got.source == "embedded"
         assert got.all_match
 
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("0 1\n1 two\n", BFileParseError, "line 2: non-integer field in '1 two'"),
+            (fake_bfile_text([5, 5, 5, 5, 5]), AlignmentError, "computed terms [1, 2, 6] not found"),
+        ],
+        ids=["unparseable", "unaligned"],
+    )
+    def test_fetched_data_errors_name_the_url(self, tmp_path, monkeypatch, text, error, message):
+        # a saved b-file's errors name its path (test_cli's TestOeis)
+        monkeypatch.setattr("urllib.request.urlopen", lambda url, timeout=None:
+                            _FakeResponse(text.encode()))
+        with pytest.raises(error) as fetched:
+            cross_check(2, 5, cache_dir=str(tmp_path))
+        url = "https://oeis.org/A007405/b007405.txt"
+        assert str(fetched.value).startswith(f"{url}: {message}")
+
 
 class TestCrossCheck:
     def test_uncited_k_rejected(self, tmp_path):

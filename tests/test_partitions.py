@@ -1,4 +1,6 @@
+import io
 import json
+import re
 
 import pytest
 
@@ -13,9 +15,35 @@ from flatstir import (
     phi,
     word_stats,
 )
+from flatstir.cli import main
 from flatstir.partitions import first_failed_rule, partition_from_json
 
 GOOD_K4 = "1_1 2_3 4_2 | 3_1 | 5_1"
+
+# The JSON reader's refusals, each with its message: beyond the JSON text
+# being an object with the keys, every check is the constructor's.
+JSON_NOT_INTEGERS = [
+    ('{"n": 2, "k": 2, "blocks": [[[1, 1], [2.9, 1.7]]]}',
+     "element and color must be integers, got (2.9, 1.7)"),
+    ('{"n": 2, "k": 2, "blocks": [[[1, true], [2, 1]]]}',
+     "element and color must be integers, got (1, True)"),
+    ('{"n": 2.0, "k": 2, "blocks": [[[1, 1], [2, 1]]]}', "n and k must be integers, got 2.0 and 2"),
+    ('{"n": 2, "k": true, "blocks": [[[1, 1]], [[2, 1]]]}',
+     "n and k must be integers, got 2 and True"),
+]
+JSON_WRONG_SHAPES = [
+    ("[1]", "expected a JSON object with keys 'n', 'k', 'blocks'"),
+    ('"1_1"', "expected a JSON object"),
+    ('{"letters": [1, 1], "order": 1, "multiplicity": 2}', "lacks 'n', 'k', 'blocks'"),
+    ('{"n": 1, "k": 1}', "lacks 'blocks'"),
+    ('{"n": 1, "k": 1, "blocks": 1}', "blocks must be iterable, got 1"),
+    ('{"n": 1, "k": 1, "blocks": [1]}', "block must be iterable, got 1"),
+    ('{"n": 1, "k": 1, "blocks": [[[1, 1, 1]]]}',
+     "block member must be an (element, color) pair, got [1, 1, 1]"),
+    ('{"n": 1, "k": 1, "blocks": "ab"}', "block member must be an (element, color) pair, got 'a'"),
+    ('{"n": 1, "k": 1, "blocks": {"a": 1}}',
+     "block member must be an (element, color) pair, got 'a'"),
+]
 
 
 class TestValidate:
@@ -191,34 +219,24 @@ class TestSerialization:
             assert len(distinct) > partitions.BLOCK_MEMO_SIZE
             assert partitions._block_json.cache_info().currsize == partitions.BLOCK_MEMO_SIZE
 
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            '{"n": 2, "k": 2, "blocks": [[[1, 1], [2.9, 1.7]]]}',
-            '{"n": 2, "k": 2, "blocks": [[[1, true], [2, 1]]]}',
-            '{"n": 2.0, "k": 2, "blocks": [[[1, 1], [2, 1]]]}',
-            '{"n": 2, "k": true, "blocks": [[[1, 1]], [[2, 1]]]}',
-        ],
-    )
-    def test_json_accepts_only_integers(self, payload):
-        with pytest.raises(MalformedPartitionError, match="expected a JSON integer"):
+    @pytest.mark.parametrize("payload,message", JSON_NOT_INTEGERS)
+    def test_json_accepts_only_integers(self, payload, message):
+        with pytest.raises(MalformedPartitionError, match=re.escape(message)):
             partition_from_json(payload)
 
-    @pytest.mark.parametrize(
-        "payload,message",
-        [
-            ("[1]", "expected a JSON object with keys 'n', 'k', 'blocks'"),
-            ('"1_1"', "expected a JSON object"),
-            ('{"letters": [1, 1], "order": 1, "multiplicity": 2}', "lacks 'n', 'k', 'blocks'"),
-            ('{"n": 1, "k": 1}', "lacks 'blocks'"),
-            ('{"n": 1, "k": 1, "blocks": 1}', "blocks must be arrays"),
-            ('{"n": 1, "k": 1, "blocks": [1]}', "blocks must be arrays"),
-            ('{"n": 1, "k": 1, "blocks": [[[1, 1, 1]]]}', "blocks must be arrays"),
-        ],
-    )
+    @pytest.mark.parametrize("payload,message", JSON_WRONG_SHAPES)
     def test_json_of_the_wrong_shape(self, payload, message):
-        with pytest.raises(MalformedPartitionError, match=message):
+        with pytest.raises(MalformedPartitionError, match=re.escape(message)):
             partition_from_json(payload)
+
+    @pytest.mark.parametrize("payload,message", JSON_NOT_INTEGERS + JSON_WRONG_SHAPES)
+    def test_malformed_json_is_a_usage_error(self, capsys, monkeypatch, payload, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code = main(["bijection", "--direction", "forward", "--k", "2", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: usage: ")
+        assert message in err
 
     def test_parse_rejects_bad_token(self):
         with pytest.raises(MalformedPartitionError):

@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +17,32 @@ from flatstir import (
     parse_word,
     word_stats,
 )
+from flatstir.cli import main
 from flatstir.words import word_from_json
 
 EXAMPLE_LETTERS = (1, 2, 2, 2, 2, 6, 6, 6, 6, 1, 4, 4, 4, 4, 1, 1, 3, 3, 3, 3, 5, 5, 5, 5)
+
+
+# The JSON reader's refusals, each with its message: beyond the JSON text
+# being an object with the keys, every check is the constructor's.
+JSON_NOT_INTEGERS = [
+    ('{"letters": [true, true], "order": 1, "multiplicity": 2}', "letter True is not an integer"),
+    ('{"letters": [1.0, 1.0], "order": 1, "multiplicity": 2}', "letter 1.0 is not an integer"),
+    ('{"letters": [1, 1], "order": 1.0, "multiplicity": 2}',
+     "order 1.0 and multiplicity 2 must be integers"),
+    ('{"letters": [1, 1], "order": 1, "multiplicity": true}',
+     "order 1 and multiplicity True must be integers"),
+]
+JSON_WRONG_SHAPES = [
+    ("[1]", "expected a JSON object with keys 'letters', 'order', 'multiplicity'"),
+    ("null", "expected a JSON object"),
+    ('{"n": 1, "k": 1, "blocks": [[[1, 1]]]}', "lacks 'letters', 'order', 'multiplicity'"),
+    ('{"letters": [1, 1], "order": 1}', "lacks 'multiplicity'"),
+    ('{"letters": 11, "order": 1, "multiplicity": 2}', "letters must be iterable, got 11"),
+    ('{"letters": "11", "order": 1, "multiplicity": 2}', "letter '1' is not an integer"),
+    ('{"letters": {"1": 1}, "order": 1, "multiplicity": 1}', "letter '1' is not an integer"),
+    ('{"letters": [[1]], "order": 1, "multiplicity": 1}', "letter [1] is not an integer"),
+]
 
 
 def example_word():
@@ -52,7 +77,7 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "letters,n,k",
         [
-            (("a", 1), 1, 2),  # letters that do not compare with each other
+            ((1, 2), 1, 2),  # a letter above the order
             ((1, 2, 2, 2), 2, 2),  # right length, one copy of 1 short
             ((0, 0), 1, 2),  # a letter below 1
         ],
@@ -65,13 +90,14 @@ class TestConstruction:
         "letters,n,k,message",
         [
             ((1.0, True), 1, 2, "letter 1.0 is not an integer"),
+            (("a", 1), 1, 2, "letter 'a' is not an integer"),
             ((1, 1), 1.0, 2, "order 1.0 and multiplicity 2 must be integers"),
             ((1, 1), 1, 2.0, "order 1 and multiplicity 2.0 must be integers"),
             ((1, 1), True, 2, "order True and multiplicity 2 must be integers"),
             ((1, 1), 1, True, "order 1 and multiplicity True must be integers"),
             (5, 1, 1, "letters must be iterable, got 5"),
         ],
-        ids=["letters-float-bool", "order-float", "multiplicity-float", "order-bool",
+        ids=["letters-float-bool", "letters-str", "order-float", "multiplicity-float", "order-bool",
              "multiplicity-bool", "letters-int"],
     )
     def test_fields_of_the_wrong_type_are_refused(self, letters, n, k, message):
@@ -293,29 +319,21 @@ class TestSerialization:
         with pytest.raises(MalformedWordError):
             parse_word("1 two 2 1", 2)
 
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            '{"letters": [true, true], "order": 1, "multiplicity": 2}',
-            '{"letters": [1.0, 1.0], "order": 1, "multiplicity": 2}',
-            '{"letters": [1, 1], "order": 1.0, "multiplicity": 2}',
-            '{"letters": [1, 1], "order": 1, "multiplicity": true}',
-        ],
-    )
-    def test_json_accepts_only_integers(self, payload):
-        with pytest.raises(MalformedWordError, match="expected a JSON integer"):
+    @pytest.mark.parametrize("payload,message", JSON_NOT_INTEGERS)
+    def test_json_accepts_only_integers(self, payload, message):
+        with pytest.raises(MalformedWordError, match=re.escape(message)):
             word_from_json(payload)
 
-    @pytest.mark.parametrize(
-        "payload,message",
-        [
-            ("[1]", "expected a JSON object with keys 'letters', 'order', 'multiplicity'"),
-            ("null", "expected a JSON object"),
-            ('{"n": 1, "k": 1, "blocks": [[[1, 1]]]}', "lacks 'letters', 'order', 'multiplicity'"),
-            ('{"letters": [1, 1], "order": 1}', "lacks 'multiplicity'"),
-            ('{"letters": 11, "order": 1, "multiplicity": 2}', "letters must be a JSON array"),
-        ],
-    )
+    @pytest.mark.parametrize("payload,message", JSON_WRONG_SHAPES)
     def test_json_of_the_wrong_shape(self, payload, message):
-        with pytest.raises(MalformedWordError, match=message):
+        with pytest.raises(MalformedWordError, match=re.escape(message)):
             word_from_json(payload)
+
+    @pytest.mark.parametrize("payload,message", JSON_NOT_INTEGERS + JSON_WRONG_SHAPES)
+    def test_malformed_json_is_a_usage_error(self, capsys, monkeypatch, payload, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code = main(["bijection", "--direction", "inverse", "--k", "2", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: usage: ")
+        assert message in err
