@@ -2,15 +2,16 @@
 
 Four independent routes compute the total count: a finite Dobinski sum
 that holds O(1) big integers (the CLI's default), a derivative triangle
-from F' = ((k-1) + e^(kz)) F, a Stirling number double sum streamed one
-k-weighted Stirling row at a time in O(n) memory, and the exponential
-formula in `series` (whose exp step is the paper's one-index
-recurrence).  The finite sum makes about n big multiplications where the
-triangle makes n^2/2 big multiply-adds, so it gives one order's total
-about three times faster at n = 600 and 2000; the triangle stays the one
-pass that yields every order up to n.  Closed forms cover words with two
-runs, three runs, and the k=2 maximum-run case.  All are cross-checked
-against brute-force enumeration in the test suite.
+from F' = ((k-1) + e^(kz)) F, a Stirling number double sum whose inner
+sum is read off the weighted Bell (Aitken) triangle one row at a time in
+O(n) memory, and the exponential formula in `series` (whose exp step is
+the paper's one-index recurrence).  The finite sum makes about n big
+multiplications where the triangle makes n^2/2 big multiply-adds, so it
+gives one order's total about three times faster at n = 600 and 2000;
+the triangle stays the one pass that yields every order up to n.  Closed
+forms cover words with two runs, three runs, and the k=2 maximum-run
+case.  All are cross-checked against brute-force enumeration in the test
+suite.
 
 `count_table` reads its run refinements off the descent EGF (runs =
 descents + 1) and never enumerates, so every `CountTableRow` carries a
@@ -24,10 +25,10 @@ integers, so its error bound holds by construction.
 No route keeps state across calls.  `flattened_totals` makes one triangle
 pass and returns every total up to its order, so a caller that wants many
 orders asks for them at once; `enumeration`'s budget guard reads the same
-lazy pass only up to the first total past its cap.  The identity and
-`series.descent_egf` step their Stirling rows per call with
-`_next_stirling_row`, using S(0,0)=1 (the identity's boundary term needs
-it) and S(a,0)=0 for a >= 1.
+lazy pass only up to the first total past its cap.  `series.descent_egf`
+steps its Stirling rows per call with `_next_stirling_row`, from S(0,0)=1
+with S(a,0)=0 for a >= 1; the identity and `bell_number` step the weighted
+Bell triangle per call with `_next_bell_row`.
 """
 
 from __future__ import annotations
@@ -53,10 +54,16 @@ class CountContext:
     __slots__ = ()
 
 
-def _next_stirling_row(prev: list[int], k: int = 1) -> list[int]:
-    """Row T(a, 0..a) from row T(a-1, 0..a-1) by T(a, j) = jk T(a-1, j) + T(a-1, j-1);
-    T(a, j) = k^(a-j) S(a, j), so k = 1 steps the Stirling row itself."""
-    return [0, *map(add, map(mul, range(k, len(prev) * k, k), prev[1:]), prev), prev[-1]]
+def _next_stirling_row(prev: list[int]) -> list[int]:
+    """Row S(a, 0..a) from row S(a-1, 0..a-1) by S(a, j) = j S(a-1, j) + S(a-1, j-1)."""
+    return [0, *map(add, map(mul, range(1, len(prev)), prev[1:]), prev), prev[-1]]
+
+
+def _next_bell_row(prev: list[int], k: int) -> list[int]:
+    """Row a(j, 0..j) of the weighted Bell (Aitken) triangle from row j-1:
+    a(j, 0) = a(j-1, j-1) and a(j, i) = a(j, i-1) + k a(j-1, i-1).  Then
+    a(j, 0) = sum_r k^(j-r) S(j, r), and k = 1 is the Bell triangle."""
+    return list(accumulate(map(k.__mul__, prev), initial=prev[-1]))
 
 
 def bell_number(n: int) -> int:
@@ -65,7 +72,7 @@ def bell_number(n: int) -> int:
         raise DomainError(f"Bell numbers need n >= 0, got {n}")
     row = [1]
     for _ in range(n):
-        row = list(accumulate(row, initial=row[-1]))
+        row = _next_bell_row(row, 1)
     return row[0]
 
 
@@ -108,18 +115,18 @@ def count_flattened_identity(n: int, k: int, ctx: CountContext | None = None) ->
         sum_{i=0}^{m} C(m, i) (k-1)^i  sum_{r=0}^{m-i} k^(m-i-r) S(m-i, r)
 
     with m = n-1.  The i=m boundary term is S(0,0)=1.  The sum is streamed
-    over j = m-i: one row T(j, r) = k^(j-r) S(j, r) is held at a time, so the
-    inner sum is the row's sum, and the outer sum is taken by Horner in k-1
-    with C(m, j) advanced from C(m, j-1); memory is O(n) integers.  `ctx` is
-    ignored.
+    over j = m-i: the inner sum is a(j, 0) of the weighted Bell triangle
+    (`_next_bell_row`), one row of which is held at a time, and the outer
+    sum is taken by Horner in k-1 with C(m, j) advanced from C(m, j-1);
+    memory is O(n) integers.  `ctx` is ignored.
     """
     _check_nk(n, k)
     m = n - 1
-    total, c, row = 1, 1, [1]  # the j = 0 term, C(m, 0) T(0, 0)
+    total, c, row = 1, 1, [1]  # the j = 0 term, C(m, 0) a(0, 0)
     for j in range(1, m + 1):
-        row = _next_stirling_row(row, k)
+        row = _next_bell_row(row, k)
         c = c * (m - j + 1) // j
-        total = total * (k - 1) + c * sum(row)
+        total = total * (k - 1) + c * row[0]
     return total
 
 

@@ -46,7 +46,8 @@ class ConvergenceError(FlatstirError, RuntimeError):
 
 
 class BFileParseError(FlatstirError, ValueError):
-    """A b-file line could not be parsed; message carries the line number."""
+    """A saved b-file could not be read, or a b-file line could not be
+    parsed; a parse message carries the line number."""
 
 
 class AlignmentError(FlatstirError, RuntimeError):

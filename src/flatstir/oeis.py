@@ -5,12 +5,12 @@ The three sequences tied to k = 2, 3, 4 are read as b-files (plain text,
 10 s socket timeout, one retry), then a b-file the user saved in the
 directory that `FLATSTIR_CACHE_DIR` names (or the `cache_dir` argument);
 when no directory is named, no saved b-file is read.  Nothing is written:
-a fetched b-file is used and dropped.  A b-file that does not parse or
-align raises an error that starts with its path or URL.  When neither
-source has the data, the check compares against an
-embedded prefix computed by the Stirling-number identity (the check
-itself uses one pass of the derivative triangle), so the offline path
-never relies on unverified third-party data and still compares two
+a fetched b-file is used and dropped.  A saved b-file that cannot be
+read, or a b-file that does not parse or align, raises an error that
+starts with its path or URL.  When neither source has the data, the check
+compares against an embedded prefix computed by the identity route (the
+check itself uses one pass of the derivative triangle), so the offline
+path never relies on unverified third-party data and still compares two
 different derivations.
 
 The index offset of fetched data is not assumed: the first three computed
@@ -54,7 +54,8 @@ def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
 def _fetch(sequence_id: str, cache_dir: str, offline: bool) -> tuple[str, str, str] | None:
     """(source, path or URL, text) of a b-file from the network, else from a
     file the user saved in `cache_dir` (if one is named); None when neither
-    has the data."""
+    has the data.  A saved file that exists but cannot be read as UTF-8 text
+    raises `BFileParseError` naming its path."""
     name = f"b{sequence_id[1:]}.txt"
     if not offline:
         import urllib.error  # local import: only a fetch pays for the HTTP stack
@@ -69,9 +70,17 @@ def _fetch(sequence_id: str, cache_dir: str, offline: bool) -> tuple[str, str, s
                 continue
     if cache_dir:
         cache_path = os.path.join(cache_dir, name)
-        if os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
+        try:
+            with open(cache_path, encoding="utf-8") as fh:
                 return "cache", cache_path, fh.read()
+        except (FileNotFoundError, NotADirectoryError):
+            pass  # nothing saved: the caller uses the embedded prefix
+        except OSError as exc:
+            raise BFileParseError(f"{cache_path}: cannot be read: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise BFileParseError(
+                f"{cache_path}: cannot be read: not UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
     return None
 
 

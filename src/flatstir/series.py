@@ -6,6 +6,8 @@ from the exponential formula over weighted labelled structures, so these
 entries are integers and no denominator is ever carried.  A univariate EGF
 is the case where every entry is a constant.  Binary operations truncate
 to the shorter operand; products and exp advance Pascal rows for C(n, i).
+exp of a univariate exponent (every entry of t-degree <= 0) stays
+univariate, so it takes each entry as one dot product over plain ints.
 
 Two concrete generating functions live here:
 
@@ -127,10 +129,17 @@ class EgfSeries(_Value):
 
     def exp(self) -> "EgfSeries":
         """exp of a series with zero z^0 entry, by the convolution
-        G_{n+1} = sum_i C(n, i) A_{i+1} G_{n-i}."""
+        G_{n+1} = sum_i C(n, i) A_{i+1} G_{n-i}.  When every entry is a
+        constant, so is G, and each G_{n+1} is one dot product over ints."""
         if self.coeffs[0]:
             raise DomainError("exp needs a zero z^0 coefficient")
         shifted = self.coeffs[1:]
+        if all(len(p) <= 1 for p in shifted):
+            a = [p[0] if p else 0 for p in shifted]
+            h = [1]
+            for row in _pascal_rows(self.order):
+                h.append(sum(map(mul, map(mul, row, a), reversed(h))))
+            return EgfSeries(tuple((x,) for x in h))
         g: list[TPoly] = [(1,)]
         for row in _pascal_rows(self.order):
             g.append(_binomial_convolution(row, shifted, g))

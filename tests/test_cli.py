@@ -429,6 +429,31 @@ class TestOeis:
         path = tmp_path / "b007405.txt"
         assert err == f"error: data: {path}: line 2: non-integer field in '1 two'\n"
 
+    def test_non_utf8_cached_bfile_is_a_data_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        (tmp_path / "b007405.txt").write_bytes(b"0 1\n1 \xff\n")
+        code, out, err = run(capsys, "oeis", "--k", "2", "--offline")
+        assert (code, out) == (4, "")
+        path = tmp_path / "b007405.txt"
+        assert err == (
+            f"error: data: {path}: cannot be read: not UTF-8 (invalid start byte at byte 6)\n"
+        )
+
+    def test_unreadable_cached_bfile_is_a_data_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        (tmp_path / "b007405.txt").mkdir()
+        code, out, err = run(capsys, "oeis", "--k", "2", "--offline")
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: data: {tmp_path / 'b007405.txt'}: cannot be read: ")
+
+    def test_cache_dir_that_is_a_file_holds_no_bfile(self, capsys, tmp_path, monkeypatch):
+        # as with an empty directory, nothing is saved there: embedded terms
+        (tmp_path / "not-a-dir").write_text("")
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path / "not-a-dir"))
+        code, out, _ = run(capsys, "oeis", "--k", "2", "--offline")
+        assert code == 0
+        assert "source: embedded, shift 0" in out
+
     def test_unaligned_cached_bfile_is_a_data_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
         (tmp_path / "b007405.txt").write_text("0 1\n1 3\n2 5\n3 7\n")

@@ -25,7 +25,7 @@ from flatstir import (
     run_distribution_bruteforce,
     word_stats,
 )
-from flatstir.counting import _next_stirling_row, flattened_totals
+from flatstir.counting import _next_bell_row, _next_stirling_row, flattened_totals
 
 TOTALS_K2 = [1, 2, 6, 24, 116, 648, 4088, 28640, 219920, 1832224]  # n = 1..10
 
@@ -78,20 +78,6 @@ class TestStirling2:
         for a, row in enumerate(stirling_rows(size + 1)):
             assert row == table[a][: a + 1]
 
-    @pytest.mark.parametrize("k", range(1, 6))
-    def test_weighted_row_is_scaled_stirling(self, k):
-        """The identity's row step T(a, j) = jk T(a-1, j) + T(a-1, j-1) gives
-        k^(a-j) S(a, j), with S from its explicit inclusion-exclusion sum."""
-        row = [1]
-        for a in range(61):
-            if a:
-                row = _next_stirling_row(row, k)
-            explicit = [
-                sum((-1) ** i * comb(j, i) * (j - i) ** a for i in range(j + 1)) // factorial(j)
-                for j in range(a + 1)
-            ]
-            assert row == [k ** (a - j) * s for j, s in enumerate(explicit)]
-
 
 class TestTotals:
     def test_recurrence_reference_values(self):
@@ -113,7 +99,8 @@ class TestTotals:
             assert count_flattened_identity(n, k) == total
 
     @pytest.mark.parametrize(
-        "n,k", [(300, 1), (300, 2), (300, 3), (300, 4), (600, 2), (600, 3), (600, 4)]
+        "n,k",
+        [(300, 1), (300, 2), (300, 3), (300, 4), (300, 5), (300, 6), (600, 2), (600, 3), (600, 4)],
     )
     def test_identity_equals_recurrence_at_large_n(self, n, k):
         assert count_flattened_identity(n, k) == count_flattened_recurrence(n, k)
@@ -322,6 +309,21 @@ class TestBell:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             bell_number(-1)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_weighted_step_gives_the_weighted_stirling_sum(self, k):
+        """The identity's inner sum: the weighted Bell step's a(j, 0) is
+        sum_r k^(j-r) S(j, r), with S from its explicit inclusion-exclusion sum."""
+        row = [1]
+        for j in range(61):
+            if j:
+                row = _next_bell_row(row, k)
+            explicit = [
+                sum((-1) ** i * comb(r, i) * (r - i) ** j for i in range(r + 1)) // factorial(r)
+                for r in range(j + 1)
+            ]
+            assert len(row) == j + 1
+            assert row[0] == sum(k ** (j - r) * s for r, s in enumerate(explicit))
 
 
 class TestCountTable:

@@ -91,6 +91,14 @@ def reference_convolution(a, b, n):
     return tuple(acc)
 
 
+def reference_exp(shifted, order):
+    """G_{n+1} = sum_i C(n, i) A_{i+1} G_{n-i}, with math.comb for every term."""
+    g = [(1,)]
+    for n in range(order):
+        g.append(reference_convolution(shifted, g, n))
+    return EgfSeries(tuple(g))
+
+
 @st.composite
 def signed_series(draw):
     order = draw(st.integers(min_value=0, max_value=12))
@@ -108,10 +116,52 @@ def test_product_matches_per_term_binomials(a, b):
 @given(signed_series())
 def test_exp_matches_per_term_binomials(s):
     shifted = s.coeffs[1:]
-    g = [(1,)]
-    for n in range(s.order):
-        g.append(reference_convolution(shifted, g, n))
-    assert EgfSeries(((),) + shifted).exp() == EgfSeries(tuple(g))
+    assert EgfSeries(((),) + shifted).exp() == reference_exp(shifted, s.order)
+
+
+@st.composite
+def constant_series(draw):
+    """Exponents whose entries are all constants: () zeros and signed ints."""
+    order = draw(st.integers(min_value=0, max_value=40))
+    entry = st.integers(-50, 50).map(lambda c: (c,) if c else ())
+    return EgfSeries(((),) + tuple(draw(entry) for _ in range(order)))
+
+
+@pytest.fixture
+def convolution_calls(monkeypatch):
+    """Records each call of the generic exp and product kernel."""
+    import flatstir.series as series_module
+
+    calls = []
+    generic = series_module._binomial_convolution
+    monkeypatch.setattr(
+        series_module, "_binomial_convolution", lambda *a: calls.append(1) or generic(*a)
+    )
+    return calls
+
+
+class TestUnivariateExp:
+    """exp of a constant-entry exponent takes the dot-product path; a single
+    t-term sends it down the generic convolution.  Both match the per-term
+    reference."""
+
+    @given(constant_series())
+    def test_constant_entries_match_per_term_binomials(self, s):
+        assert s.exp() == reference_exp(s.coeffs[1:], s.order)
+
+    def test_zeros_and_negatives_at_order_40(self, convolution_calls):
+        s = EgfSeries(((),) + tuple(() if n % 3 == 0 else ((-1) ** n * n,) for n in range(1, 41)))
+        assert s.exp() == reference_exp(s.coeffs[1:], 40)
+        assert not convolution_calls
+
+    def test_one_t_term_takes_the_generic_path(self, convolution_calls):
+        entries = [((-2) ** n,) if n % 4 else () for n in range(1, 41)]
+        entries[6] = (0, 1)  # A_7 = t
+        s = EgfSeries(((),) + tuple(entries))
+        got = s.exp()
+        assert len(convolution_calls) == 40
+        assert got == reference_exp(s.coeffs[1:], 40)
+        assert max(map(len, got.coeffs)) > 1
 
 
 class TestEgfFlattened:
