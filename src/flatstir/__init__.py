@@ -14,9 +14,8 @@ _EXPORTS = {
     "analysis": ("conjecture_report", "descent_polynomial_bruteforce", "is_real_rooted",
                  "is_unimodal"),
     "bijection": ("phi", "phi_inverse"),
-    "config": ("DEFAULT_BUDGET",),
-    "counting": ("CountContext", "CountTable", "CountTableRow", "bell_number",
-                 "count_flattened_dobinski", "count_flattened_identity",
+    "counting": ("DEFAULT_BUDGET", "CountContext", "CountTable", "CountTableRow",
+                 "bell_number", "count_flattened_dobinski", "count_flattened_identity",
                  "count_flattened_recurrence", "count_flattened_series_approx",
                  "count_max_runs_k2", "count_runs_2", "count_runs_3", "count_table",
                  "max_runs_bound", "predicted_stirling_count", "run_distribution_bruteforce"),

@@ -17,8 +17,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .config import DEFAULT_BUDGET
-from .counting import run_distribution_bruteforce
+from .counting import DEFAULT_BUDGET, run_distribution_bruteforce
 from .errors import DomainError
 from .series import IntPolynomial, descent_egf, extract_descent_polynomial
 

@@ -6,18 +6,20 @@ exceeded or out of memory, 4 unusable sequence data: a fetched or saved
 b-file that does not parse or align (`error: data:`, then its URL or path).
 
 A module that only some commands use is imported where it is used: the
-standard library's `fractions`, `decimal` and `json`, `config`, and each
-of flatstir's route modules.  Handlers call a route through its module
+standard library's `fractions`, `decimal` and `json`, and each of
+flatstir's route modules.  Handlers call a route through its module
 attribute, and `bijection` parses through `cli.parse_word` and
 `cli.parse_partition`, because the benchmark's tracer wraps those names;
 so `words` and `partitions` are the only route modules loaded up front.
 
-There is no config file.  `--force` lifts the enumeration cap
-(`config.DEFAULT_BUDGET`) on `enumerate`, `count` and `poly`; the one
-setting outside the flags, the directory that `oeis` reads saved b-files
-from, is `FLATSTIR_CACHE_DIR`, which `oeis` reads itself; unset or empty,
-no saved b-file is read.  JSON input (`bijection --format json`) is
-checked once, by the `StirlingWord` or `ColoredPartition` constructor.
+Settings enter here and nowhere else.  There is no config file.
+`--force` lifts the enumeration cap (`counting.DEFAULT_BUDGET`) on
+`enumerate`, `count` and `poly`.  The one setting outside the flags, the
+directory of saved b-files, is `FLATSTIR_CACHE_DIR`: the `oeis` and
+`verify` handlers read it through `_cache_dir` and pass it on as
+`cache_dir`; unset or empty, no saved b-file is read.  JSON input
+(`bijection --format json`) is checked once, by the `StirlingWord` or
+`ColoredPartition` constructor.
 """
 
 from __future__ import annotations
@@ -195,10 +197,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _budget(args: argparse.Namespace) -> int | None:
-    """The enumeration cap: None under --force, else the default."""
-    from .config import DEFAULT_BUDGET  # per call: a cold start skips config, a patch applies
+    """The enumeration cap: None under --force, else the default.  Every
+    caller has loaded `counting` already; read per call, so a patch applies."""
+    from . import counting
 
-    return None if args.force else DEFAULT_BUDGET
+    return None if args.force else counting.DEFAULT_BUDGET
+
+
+def _cache_dir() -> str:
+    """The directory of saved b-files: `FLATSTIR_CACHE_DIR`, "" for none."""
+    return os.environ.get("FLATSTIR_CACHE_DIR", "")
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -345,7 +353,7 @@ def cmd_egf(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import VerifyLimits  # local import: no other command needs the module
 
-    limits = VerifyLimits(max_n=args.max_n, offline_oeis=args.offline)
+    limits = VerifyLimits(max_n=args.max_n, offline_oeis=args.offline, cache_dir=_cache_dir())
     results = run_verification(limits)
     failures = 0
     for r in results:
@@ -372,7 +380,7 @@ def run_verification(limits: VerifyLimits) -> list[CheckResult]:
 def cmd_oeis(args: argparse.Namespace) -> int:
     from . import oeis
 
-    report = oeis.cross_check(args.k, args.max_n, offline=args.offline)
+    report = oeis.cross_check(args.k, args.max_n, offline=args.offline, cache_dir=_cache_dir())
     if args.format == "json":
         payload = {
             "k": report.k,

@@ -15,8 +15,10 @@ suite.
 
 `count_table` reads its run refinements off the descent EGF (runs =
 descents + 1) and never enumerates, so every `CountTableRow` carries a
-refinement; `run_distribution_bruteforce` is the enumeration oracle that
-tests and `verify` hold the table to.
+refinement, and checks that each row's refinement sums to the triangle's
+total: the one place where the two routes meet.
+`run_distribution_bruteforce` is the enumeration oracle that tests and
+`verify` hold the table to.
 
 All arithmetic is exact: the finite sum's one division must leave no
 remainder, and the series approximation sums truncated series in
@@ -25,7 +27,8 @@ integers, so its error bound holds by construction.
 No route keeps state across calls.  `flattened_totals` makes one triangle
 pass and returns every total up to its order, so a caller that wants many
 orders asks for them at once; `enumeration`'s budget guard reads the same
-lazy pass only up to the first total past its cap.  `series.descent_egf`
+lazy pass only up to the first total past its cap, `DEFAULT_BUDGET`
+(10^8) unless the caller passes another.  `series.descent_egf`
 steps its Stirling rows per call with `_next_stirling_row`, from S(0,0)=1
 with S(a,0)=0 for a >= 1; the identity and `bell_number` step the weighted
 Bell triangle per call with `_next_bell_row`.
@@ -38,13 +41,13 @@ from math import comb, factorial, prod
 from operator import add, gt, mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .config import DEFAULT_BUDGET
 from .errors import ConvergenceError, DomainError
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 SERIES_MAX_TERMS = 10000  # the series route's term cap, read at call time
+DEFAULT_BUDGET = 10**8  # the enumeration size cap; None lifts it
 
 
 class CountContext:
@@ -256,22 +259,12 @@ def max_runs_bound(n: int, k: int) -> int:
     return -(-k * n // (k + 1))
 
 
-class _CountTableRow(NamedTuple):
+class CountTableRow(NamedTuple):
+    """One order: total count plus counts refined by run number (s >= 1)."""
+
     n: int
     total: int
     run_refined: tuple[int, ...]
-
-
-class CountTableRow(_CountTableRow):
-    """One order: total count plus counts refined by run number (s >= 1),
-    which must sum to the total."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, total: int, run_refined: tuple[int, ...]):
-        if sum(run_refined) != total:
-            raise AssertionError(f"run refinement {run_refined} does not sum to total {total}")
-        return super().__new__(cls, n, total, run_refined)
 
 
 class CountTable(NamedTuple):
@@ -290,16 +283,14 @@ def run_distribution_bruteforce(
     from . import enumeration  # local import: enumeration depends on this module
 
     counts: dict[int, int] = {}
-    total = 0
     for w in enumeration.gen_flattened(n, k, budget=budget):
         letters = w.letters
         s = sum(map(gt, letters, letters[1:])) + 1
         counts[s] = counts.get(s, 0) + 1
-        total += 1
     top = max(counts) if counts else 0
     _check_run_bound(n, k, top)
     refined = tuple(counts.get(s, 0) for s in range(1, top + 1))
-    return CountTableRow(n, total, refined)
+    return CountTableRow(n, sum(refined), refined)
 
 
 def count_table(k: int, max_n: int) -> CountTable:
@@ -316,6 +307,8 @@ def count_table(k: int, max_n: int) -> CountTable:
     rows = []
     for n, (total, refined) in enumerate(zip(totals, egf.coeffs, strict=True), start=1):
         _check_run_bound(n, k, len(refined))
+        if sum(refined) != total:
+            raise AssertionError(f"run refinement {refined} does not sum to total {total}")
         rows.append(CountTableRow(n, total, refined))
     return CountTable(k, tuple(rows))
 

@@ -5,7 +5,7 @@ against; no command uses them where a polynomial-time formula exists.
 They are lazy and deterministic.  Before the first object, one budget
 guard reads the walk's sizes at orders 1, 2, ..., n (for words |Q_m^k|,
 the running product of ik + 1; for partitions the flattened totals) and
-refuses at the first past a cap (`config.DEFAULT_BUDGET`, 10^8, unless
+refuses at the first past a cap (`counting.DEFAULT_BUDGET`, 10^8, unless
 the caller passes another; None means no cap).  Sizes never decrease with
 the order, so it refuses exactly the walks whose order-n size passes the
 cap, and computes no size past the crossing.
@@ -39,8 +39,7 @@ from operator import mul
 from typing import Callable, Iterator
 
 from .bijection import _phi_letters
-from .config import DEFAULT_BUDGET
-from .counting import _check_nk, _flattened_total_stream
+from .counting import DEFAULT_BUDGET, _check_nk, _flattened_total_stream
 from .errors import BudgetExceededError
 from .partitions import ColoredPartition, _trusted_partition
 from .words import StirlingWord, _leaders_weakly_increase, _trusted_word

@@ -3,15 +3,15 @@
 The three sequences tied to k = 2, 3, 4 are read as b-files (plain text,
 "index value" per line, '#' comments) by one path: the network (a fixed
 10 s socket timeout, one retry), then a b-file the user saved in the
-directory that `FLATSTIR_CACHE_DIR` names (or the `cache_dir` argument);
-when no directory is named, no saved b-file is read.  Nothing is written:
-a fetched b-file is used and dropped.  A saved b-file that cannot be
-read, or a b-file that does not parse or align, raises an error that
-starts with its path or URL.  When neither source has the data, the check
-compares against an embedded prefix computed by the identity route (the
-check itself uses one pass of the derivative triangle), so the offline
-path never relies on unverified third-party data and still compares two
-different derivations.
+`cache_dir` argument; when no directory is named, no saved b-file is read.
+The environment is not read here: the CLI passes `FLATSTIR_CACHE_DIR` on.
+Nothing is written: a fetched b-file is used and dropped.  A saved b-file
+that cannot be read, or a b-file that does not parse, skips or repeats an
+index, or does not align, raises an error that starts with its path or
+URL.  When neither source has the data, the check compares against an
+embedded prefix computed by the identity route (the check itself uses one
+pass of the derivative triangle), so the offline path never relies on
+unverified third-party data and still compares two different derivations.
 
 The index offset of fetched data is not assumed: the first three computed
 terms are located inside the fetched prefix on every run, and the first
@@ -33,7 +33,9 @@ _FETCH_TIMEOUT = 10.0  # a b-file fetch's socket timeout, in seconds
 
 
 def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
-    """Parse "index value" lines; '#' comments and blank lines skipped."""
+    """Parse "index value" lines; '#' comments and blank lines skipped.
+    Each index must be the previous one plus 1: values are compared by
+    position, so a skipped or repeated index would shift every later one."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -43,15 +45,19 @@ def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
         if len(parts) != 2:
             raise BFileParseError(f"line {lineno}: expected 'index value', got {line!r}")
         try:
-            rows.append((int(parts[0]), int(parts[1])))
+            index, value = int(parts[0]), int(parts[1])
         except ValueError:
             raise BFileParseError(f"line {lineno}: non-integer field in {line!r}") from None
+        if rows and index != rows[-1][0] + 1:
+            previous = rows[-1][0]
+            raise BFileParseError(f"line {lineno}: index {index} does not follow index {previous}")
+        rows.append((index, value))
     if not rows:
         raise BFileParseError("b-file contains no data rows")
     return tuple(rows)
 
 
-def _fetch(sequence_id: str, cache_dir: str, offline: bool) -> tuple[str, str, str] | None:
+def _fetch(sequence_id: str, cache_dir: str | None, offline: bool) -> tuple[str, str, str] | None:
     """(source, path or URL, text) of a b-file from the network, else from a
     file the user saved in `cache_dir` (if one is named); None when neither
     has the data.  A saved file that exists but cannot be read as UTF-8 text
@@ -115,14 +121,13 @@ def cross_check(
     Only k in {2, 3, 4} carries a published correspondence.  Fetched data
     is aligned on every run, embedded data is compared at shift 0 (see module
     docstring); every comparison is exact integer equality.  Saved b-files
-    are read from `cache_dir`, else from `FLATSTIR_CACHE_DIR`, else not at all.
+    are read from `cache_dir` alone; None or "" reads none.
     """
     if k not in SEQUENCE_BY_K:
         raise DomainError(f"no cited sequence for k={k}; only k in {sorted(SEQUENCE_BY_K)}")
     if max_n < 2:
         raise DomainError("need max_n >= 2: alignment uses the first three terms")
     sequence_id = SEQUENCE_BY_K[k]
-    cache_dir = cache_dir or os.environ.get("FLATSTIR_CACHE_DIR", "")
     fetched = _fetch(sequence_id, cache_dir, offline)
     computed = flattened_totals(k, max_n + 1)
     if fetched is None:

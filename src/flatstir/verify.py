@@ -17,7 +17,8 @@ statistic check classifies each word with one scan.  Every walk has a
 fixed size, at most |Q_8^2|, far under the generators' default cap.
 `VerifyLimits` carries what a run varies: the largest order, whether the
 sequence check stays offline, and the directory it reads saved b-files
-from.
+from (the CLI passes `FLATSTIR_CACHE_DIR`; None reads none).  The check's
+embedded path names no directory, so it reads no saved file.
 """
 
 from __future__ import annotations
@@ -308,8 +309,6 @@ def _check_bell(state: _State) -> str:
 
 
 def _check_oeis(state: _State) -> str:
-    import tempfile  # local import: its imports are a large share of the cold start
-
     sources = []
     for k in (2, 3, 4):
         report = oeis.cross_check(
@@ -318,11 +317,10 @@ def _check_oeis(state: _State) -> str:
         _expect(report.all_match, f"sequence mismatch for k={k} ({report.sequence_id})")
         _expect(report.compared >= 10, f"only {report.compared} terms compared for k={k}")
         sources.append(f"{report.sequence_id}:{report.source}")
-    with tempfile.TemporaryDirectory() as tmp:
-        for k in (2, 3, 4):
-            report = oeis.cross_check(k, 9, offline=True, cache_dir=tmp)
-            _expect(report.source == "embedded", "offline run did not use embedded terms")
-            _expect(report.all_match, f"offline mismatch for k={k}")
+    for k in (2, 3, 4):  # no directory: the embedded terms
+        report = oeis.cross_check(k, 9, offline=True)
+        _expect(report.source == "embedded", "offline run did not use embedded terms")
+        _expect(report.all_match, f"offline mismatch for k={k}")
     return "matched " + ", ".join(sources) + "; offline embedded path passes"
 
 

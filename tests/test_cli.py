@@ -275,7 +275,7 @@ class TestEnumerate:
         assert err.count("\n") == 1 and len(err) < 200
 
     def test_force(self, capsys, monkeypatch):
-        monkeypatch.setattr("flatstir.config.DEFAULT_BUDGET", 1)  # |Q_2^2| = 3 passes it
+        monkeypatch.setattr("flatstir.counting.DEFAULT_BUDGET", 1)  # |Q_2^2| = 3 passes it
         argv = ["enumerate", "--n", "2", "--k", "2"]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
@@ -462,6 +462,20 @@ class TestOeis:
         message = "computed terms [1, 2, 6] not found in the fetched prefix"
         assert err == f"error: data: {tmp_path / 'b007405.txt'}: {message}\n"
 
+    @pytest.mark.parametrize("rows,lineno,message", [
+        ((0, 1, 2, 3, 5, 6), 5, "index 5 does not follow index 3"),
+        ((0, 1, 2, 3, 3, 4), 5, "index 3 does not follow index 3"),
+    ], ids=["missing", "repeated"])
+    def test_bfile_index_gap_is_a_data_error(self, capsys, tmp_path, monkeypatch, rows,
+                                             lineno, message):
+        # values compared by position would blame the sequence for the file
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        values = [1, 1, 2, 6, 24, 116, 648]
+        (tmp_path / "b007405.txt").write_text("".join(f"{i} {values[i]}\n" for i in rows))
+        code, out, err = run(capsys, "oeis", "--k", "2", "--offline")
+        assert (code, out) == (4, "")
+        assert err == f"error: data: {tmp_path / 'b007405.txt'}: line {lineno}: {message}\n"
+
     def test_offline_run_pins_nothing(self, capsys, tmp_path, monkeypatch):
         # the shift of a saved b-file is found on every run and never stored
         monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
@@ -638,6 +652,18 @@ class TestVerify:
         assert len(lines) == 12
         assert all(l.startswith("PASS") for l in lines)
 
+    def test_saved_bfile_is_read_through_the_cli(self, capsys, tmp_path, monkeypatch):
+        # the CLI passes FLATSTIR_CACHE_DIR on; the embedded check reads no file
+        values = [1, 1, 2, 6, 24, 116, 648, 4088, 28640, 219920, 1832224, 16430176]
+        bfile = "".join(f"{i} {v}\n" for i, v in enumerate(values, start=-1))
+        (tmp_path / "b007405.txt").write_text(bfile)
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        code, out, err = run(capsys, "verify", "--offline", "--max-n", "3")
+        assert (code, err) == (0, "")
+        line = next(l for l in out.splitlines() if "oeis-cross-check" in l)
+        assert "A007405:cache, A355164:embedded, A355167:embedded" in line
+        assert [p.name for p in tmp_path.iterdir()] == ["b007405.txt"]
+
     def test_a_failed_check_exits_1(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
         count = verify.block_descent_count
@@ -770,7 +796,7 @@ def test_cli_import_loads_no_route_module():
     # each command imports the modules its route calls; the cold start needs
     # only cli, errors, words and partitions
     modules = _flatstir_modules("analysis", "series", "enumeration", "bijection", "counting",
-                                "oeis", "config", "verify")
+                                "oeis", "verify")
     assert _loaded_by_cold_start(modules) == "[]\n"
 
 
@@ -787,12 +813,13 @@ def _loaded_by_command(argv, modules, stdin=""):
 
 @pytest.mark.parametrize("argv,stdin,unused", [
     (["count", "--n", "5", "--k", "2"], "",
-     ("analysis", "series", "enumeration", "bijection", "oeis")),
-    # the one route without counting reads no setting, so it skips config too
+     _flatstir_modules("analysis", "series", "enumeration", "bijection", "oeis")),
     (["bijection", "--direction", "inverse", "--k", "2"], "1 1\n",
-     ("analysis", "series", "enumeration", "oeis", "counting", "config")),
+     _flatstir_modules("analysis", "series", "enumeration", "oeis", "counting")),
     # |Q_n^k| is a product, not an enumeration
-    (["table", "--k", "2", "--max-n", "4"], "", ("enumeration", "bijection")),
-], ids=["count", "bijection", "table"])
+    (["table", "--k", "2", "--max-n", "4"], "", _flatstir_modules("enumeration", "bijection")),
+    # the sequence check's embedded path needs no temporary directory
+    (["verify", "--offline", "--max-n", "1"], "", ("tempfile",)),
+], ids=["count", "bijection", "table", "verify"])
 def test_a_command_loads_only_the_modules_it_calls(argv, stdin, unused):
-    assert _loaded_by_command(argv, _flatstir_modules(*unused), stdin) == "0 []"
+    assert _loaded_by_command(argv, unused, stdin) == "0 []"

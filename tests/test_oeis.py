@@ -55,6 +55,14 @@ class TestParse:
         with pytest.raises(BFileParseError):
             parse_bfile("# nothing\n")
 
+    def test_missing_index_names_the_line(self):
+        with pytest.raises(BFileParseError, match="^line 5: index 4 does not follow index 2$"):
+            parse_bfile("# gap\n0 1\n1 2\n2 6\n4 116\n")
+
+    def test_repeated_index_names_the_line(self):
+        with pytest.raises(BFileParseError, match="^line 4: index 1 does not follow index 1$"):
+            parse_bfile("0 1\n1 2\n\n1 2\n2 6\n")
+
 
 class TestFetch:
     """Network, then a saved b-file, then embedded terms, as `cross_check`
@@ -129,6 +137,21 @@ class TestFetch:
 
 
 class TestCrossCheck:
+    def test_only_the_named_directory_is_read(self, tmp_path, monkeypatch):
+        # the environment is the CLI's to read: a library call reads its argument
+        (tmp_path / "b007405.txt").write_text(fake_bfile_text([1] + K2_PREFIX, start_index=-1))
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+
+        def broken_urlopen(url, timeout=None):
+            raise urllib.error.URLError("offline")
+
+        monkeypatch.setattr("urllib.request.urlopen", broken_urlopen)
+        for kwargs in ({}, {"cache_dir": None}, {"cache_dir": ""}, {"offline": True}):
+            report = cross_check(2, 9, **kwargs)
+            assert (report.source, report.shift, report.all_match) == ("embedded", 0, True)
+        report = cross_check(2, 9, cache_dir=str(tmp_path))
+        assert (report.source, report.shift, report.all_match) == ("cache", 1, True)
+
     def test_uncited_k_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             cross_check(5, 9, cache_dir=str(tmp_path), offline=True)
