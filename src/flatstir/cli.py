@@ -2,8 +2,9 @@
 
 All results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification mismatch or series term cap hit, 2 usage error, 3 budget
-exceeded or out of memory, 4 unusable sequence data: a fetched or saved
-b-file that does not parse or align (`error: data:`, then its URL or path).
+exceeded or out of memory, 4 unusable sequence data in `oeis` or `verify`:
+a fetched or saved b-file that does not parse, align or reach `--max-n`
+(`error: data:`, then its URL or path).
 
 A module that only some commands use is imported where it is used: the
 standard library's `fractions`, `decimal` and `json`, and each of
@@ -394,7 +395,7 @@ def cmd_oeis(args: argparse.Namespace) -> int:
     else:
         print(f"{report.sequence_id} (source: {report.source}, shift {report.shift})")
         for r in report.rows:
-            flag = "ok" if r.match else ("MISMATCH" if r.expected is not None else "missing")
+            flag = "ok" if r.match else "MISMATCH"
             print(f"n={r.n} computed={r.computed} expected={r.expected} {flag}")
     if not report.all_match:
         print("error: verification: sequence mismatch", file=sys.stderr)

@@ -37,7 +37,7 @@ Bell triangle per call with `_next_bell_row`.
 from __future__ import annotations
 
 from itertools import accumulate, islice
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import add, gt, mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -208,21 +208,18 @@ def count_runs_2(n: int, k: int) -> int:
 def count_runs_3(n: int, k: int) -> int:
     """Flattened words of order n with exactly three runs (four-term form).
 
-    The two double sums count the two-non-singleton-block cases; the inner
-    sum collapses to 2^M - 1 - M.  The terms are summed over the common
-    denominator 12.
+    With m = n-1, the two-non-singleton-block cases where one such block
+    holds the element 1 number sum_{i=1}^{m-2} C(m, i) (2^(m-i) - 1 - (m-i))
+    = 3^m - 2^(m+1) - m 2^(m-1) + m + 1, and those where neither does drop
+    the i = 1 term, m (2^(m-1) - m).  The terms are summed over 12.
     """
     _check_nk(n, k)
+    m = n - 1
+    half = m * 2**m // 2  # m 2^(m-1), and 0 at m = 0
+    s_with_first = 3**m - 2 ** (m + 1) - half + m + 1
+    s_without_first = s_with_first - half + m * m
     total = 6 * (k - 1) * (k - 2) * (3 ** (n - 1) - 2**n + 1)
     total += k * (k - 1) * (3**n - 6 * 2**n + 6 * n + 3)
-    s_with_first = 0  # one non-singleton contains the element 1
-    for i in range(1, n - 2):
-        m = n - 1 - i
-        s_with_first += comb(n - 1, i) * (2**m - 1 - m)
-    s_without_first = 0
-    for i in range(2, n - 2):
-        m = n - 1 - i
-        s_without_first += comb(n - 1, i) * (2**m - 1 - m)
     total += 12 * k * (k - 1) * s_with_first
     total += 6 * k * k * s_without_first
     return _exact_quotient(total, 12, "three-run")

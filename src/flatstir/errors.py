@@ -51,4 +51,5 @@ class BFileParseError(FlatstirError, ValueError):
 
 
 class AlignmentError(FlatstirError, RuntimeError):
-    """The first computed terms appear nowhere in a fetched b-file."""
+    """A b-file cannot be set against the computed terms: its first three
+    appear nowhere in it, or it ends before the largest order asked for."""

@@ -5,18 +5,16 @@ The three sequences tied to k = 2, 3, 4 are read as b-files (plain text,
 10 s socket timeout, one retry), then a b-file the user saved in the
 `cache_dir` argument; when no directory is named, no saved b-file is read.
 The environment is not read here: the CLI passes `FLATSTIR_CACHE_DIR` on.
-Nothing is written: a fetched b-file is used and dropped.  A saved b-file
-that cannot be read, or a b-file that does not parse, skips or repeats an
-index, or does not align, raises an error that starts with its path or
-URL.  When neither source has the data, the check compares against an
-embedded prefix computed by the identity route (the check itself uses one
-pass of the derivative triangle), so the offline path never relies on
-unverified third-party data and still compares two different derivations.
+Nothing is written: a fetched b-file is used and dropped.  When neither
+source has the data, every order is compared with the exponential formula
+(`series.egf_flattened`, shift 0), while the computed side is one pass of
+the derivative triangle: two different derivations, and no unverified data.
 
-The index offset of fetched data is not assumed: the first three computed
-terms are located inside the fetched prefix on every run, and the first
-shift where they appear is used.  Data that hold them nowhere raise an
-alignment error.  The embedded prefix is aligned by construction: shift 0.
+Every row of a report is compared.  The index offset of fetched data is
+found on every run: the first shift where the first three computed terms
+appear.  A saved b-file that cannot be read, or a b-file that does not
+parse, skips or repeats an index, does not align, or ends before the
+largest order asked for, raises an error that starts with its path or URL.
 """
 
 from __future__ import annotations
@@ -24,11 +22,11 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from .counting import count_flattened_identity, flattened_totals
+from . import series
+from .counting import flattened_totals
 from .errors import AlignmentError, BFileParseError, DomainError
 
 SEQUENCE_BY_K = {2: "A007405", 3: "A355164", 4: "A355167"}
-_EMBEDDED_TERMS = 10
 _FETCH_TIMEOUT = 10.0  # a b-file fetch's socket timeout, in seconds
 
 
@@ -80,7 +78,7 @@ def _fetch(sequence_id: str, cache_dir: str | None, offline: bool) -> tuple[str,
             with open(cache_path, encoding="utf-8") as fh:
                 return "cache", cache_path, fh.read()
         except (FileNotFoundError, NotADirectoryError):
-            pass  # nothing saved: the caller uses the embedded prefix
+            pass  # nothing saved: the caller uses the exponential formula
         except OSError as exc:
             raise BFileParseError(f"{cache_path}: cannot be read: {exc.strerror}") from None
         except UnicodeDecodeError as exc:
@@ -93,8 +91,8 @@ def _fetch(sequence_id: str, cache_dir: str | None, offline: bool) -> tuple[str,
 class CheckRow(NamedTuple):
     n: int
     computed: int
-    expected: int | None  # None when the fetched prefix is too short
-    match: bool | None
+    expected: int
+    match: bool
 
 
 class CrossCheckReport(NamedTuple):
@@ -105,12 +103,8 @@ class CrossCheckReport(NamedTuple):
     rows: tuple[CheckRow, ...]
 
     @property
-    def compared(self) -> int:
-        return sum(1 for r in self.rows if r.expected is not None)
-
-    @property
     def all_match(self) -> bool:
-        return all(r.match for r in self.rows if r.expected is not None)
+        return all(r.match for r in self.rows)
 
 
 def cross_check(
@@ -119,9 +113,10 @@ def cross_check(
     """Compare computed counts of order n+1, n = 0..max_n, with a sequence.
 
     Only k in {2, 3, 4} carries a published correspondence.  Fetched data
-    is aligned on every run, embedded data is compared at shift 0 (see module
-    docstring); every comparison is exact integer equality.  Saved b-files
-    are read from `cache_dir` alone; None or "" reads none.
+    is aligned on every run and must hold max_n + 1 terms from its shift;
+    the exponential formula is compared at shift 0 (see module docstring).
+    Every row is compared, by exact integer equality.  Saved b-files are
+    read from `cache_dir` alone; None or "" reads none.
     """
     if k not in SEQUENCE_BY_K:
         raise DomainError(f"no cited sequence for k={k}; only k in {sorted(SEQUENCE_BY_K)}")
@@ -132,21 +127,23 @@ def cross_check(
     computed = flattened_totals(k, max_n + 1)
     if fetched is None:
         source, shift = "embedded", 0
-        values = tuple(count_flattened_identity(n + 1, k) for n in range(_EMBEDDED_TERMS))
+        egf = series.egf_flattened(k, max_n)
+        values = tuple(map(egf.egf_coefficient, range(max_n + 1)))
     else:
         source, where, text = fetched
         try:
             values = tuple(v for _, v in parse_bfile(text))
             shift = _align(computed[:3], values)
+            if shift + max_n >= len(values):
+                raise AlignmentError(
+                    f"holds {len(values) - shift} terms from shift {shift}; "
+                    f"max_n = {max_n} needs {max_n + 1}"
+                )
         except (BFileParseError, AlignmentError) as exc:
             raise type(exc)(f"{where}: {exc}") from None
-    rows = []
-    for n in range(max_n + 1):
-        idx = shift + n
-        expected = values[idx] if idx < len(values) else None
-        match = (computed[n] == expected) if expected is not None else None
-        rows.append(CheckRow(n, computed[n], expected, match))
-    return CrossCheckReport(k, sequence_id, source, shift, tuple(rows))
+    expected = values[shift : shift + max_n + 1]
+    rows = tuple(CheckRow(n, c, e, c == e) for n, (c, e) in enumerate(zip(computed, expected)))
+    return CrossCheckReport(k, sequence_id, source, shift, rows)
 
 
 def _align(head: list[int], values: tuple[int, ...]) -> int:

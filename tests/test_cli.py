@@ -476,6 +476,34 @@ class TestOeis:
         assert (code, out) == (4, "")
         assert err == f"error: data: {tmp_path / 'b007405.txt'}: line {lineno}: {message}\n"
 
+    @pytest.mark.parametrize("indices,message", [
+        (range(-1, 5), "holds 5 terms from shift 1; max_n = 9 needs 10"),
+        ((-1, 0, 1, 2, 4), "line 5: index 4 does not follow index 2"),
+    ], ids=["short", "gap"])
+    def test_unusable_bfile_exits_4_in_oeis_and_verify(self, capsys, tmp_path, monkeypatch,
+                                                       indices, message):
+        # both commands read the sequence check's data under one contract
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        values = [1, 1, 2, 6, 24, 116, 648]
+        (tmp_path / "b007405.txt").write_text("".join(f"{i} {values[i + 1]}\n" for i in indices))
+        expected = (4, "", f"error: data: {tmp_path / 'b007405.txt'}: {message}\n")
+        for argv in (("oeis", "--k", "2", "--offline"), ("verify", "--offline", "--max-n", "3")):
+            assert run(capsys, *argv) == expected, argv[0]
+
+    def test_no_data_compares_every_row(self, capsys, tmp_path, monkeypatch):
+        # past the first ten orders too: no row is left uncompared
+        monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))
+        code, out, err = run(capsys, "oeis", "--k", "2", "--offline", "--max-n", "15")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 16
+        assert all(row.endswith(" ok") for row in rows)
+        code, out, _ = run(capsys, "oeis", "--k", "2", "--offline", "--max-n", "15",
+                           "--format", "json")
+        assert code == 0
+        assert "null" not in out
+        assert len(json.loads(out)["rows"]) == 16
+
     def test_offline_run_pins_nothing(self, capsys, tmp_path, monkeypatch):
         # the shift of a saved b-file is found on every run and never stored
         monkeypatch.setenv("FLATSTIR_CACHE_DIR", str(tmp_path))

@@ -71,7 +71,7 @@ class TestFetch:
     def test_offline_embedded(self, tmp_path):
         report = cross_check(2, 9, cache_dir=str(tmp_path), offline=True)
         assert report.source == "embedded"
-        assert report.compared == 10
+        assert len(report.rows) == 10
         expected = tuple(r.expected for r in report.rows)
         assert expected == tuple(flattened_totals(2, 10))
         assert expected[:6] == (1, 2, 6, 24, 116, 648)
@@ -87,7 +87,7 @@ class TestFetch:
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         got = cross_check(2, 9, cache_dir=str(tmp_path))
         assert got.source == "network"
-        assert got.all_match and got.compared == 10
+        assert got.all_match and len(got.rows) == 10
         url, timeout = calls[0]
         assert "b007405.txt" in url
         assert timeout == 10.0  # the fetch's fixed socket timeout
@@ -95,7 +95,7 @@ class TestFetch:
 
         offline = cross_check(2, 9, cache_dir=str(tmp_path), offline=True)
         assert offline.source == "embedded"
-        assert offline.all_match and offline.compared == 10
+        assert offline.all_match and len(offline.rows) == 10
         assert len(calls) == 1
 
     def test_network_failure_falls_back_to_cache(self, tmp_path, monkeypatch):
@@ -160,7 +160,7 @@ class TestCrossCheck:
         report = cross_check(2, 9, offline=True, cache_dir=str(tmp_path))
         assert report.source == "embedded"
         assert report.all_match
-        assert report.compared == 10
+        assert len(report.rows) == 10
         assert report.shift == 0
 
     @pytest.mark.parametrize("k", [3, 4])
@@ -206,12 +206,22 @@ class TestCrossCheck:
         assert not report.all_match
         assert [r.n for r in report.rows if not r.match] == list(range(4, 10))
 
-    def test_short_prefix_rows_not_compared(self, tmp_path):
-        (tmp_path / "b007405.txt").write_text(fake_bfile_text(K2_PREFIX[:4]))
-        report = cross_check(2, 6, offline=True, cache_dir=str(tmp_path))
-        assert report.compared == 4
-        assert report.all_match  # missing rows are not counted as mismatches
-        assert report.rows[5].expected is None
+    def test_short_bfile_raises_naming_the_path(self, tmp_path):
+        # a row that cannot be compared is refused, not printed as missing
+        path = tmp_path / "b007405.txt"
+        path.write_text(fake_bfile_text(K2_PREFIX[:4]))
+        with pytest.raises(AlignmentError) as short:
+            cross_check(2, 6, offline=True, cache_dir=str(tmp_path))
+        assert str(short.value) == f"{path}: holds 4 terms from shift 0; max_n = 6 needs 7"
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_no_data_compares_every_order_asked_for(self, k, tmp_path):
+        # the exponential formula is the reference at any max_n
+        report = cross_check(k, 15, offline=True, cache_dir=str(tmp_path))
+        assert (report.source, report.shift) == ("embedded", 0)
+        assert len(report.rows) == 16
+        assert all(r.match and r.expected == r.computed for r in report.rows)
+        assert [r.expected for r in report.rows] == flattened_totals(k, 16)
 
     def test_max_n_too_small_for_alignment(self, tmp_path):
         with pytest.raises(DomainError):
