@@ -30,8 +30,9 @@ orders asks for them at once; `enumeration`'s budget guard reads the same
 lazy pass only up to the first total past its cap, `DEFAULT_BUDGET`
 (10^8) unless the caller passes another.  `series.descent_egf`
 steps its Stirling rows per call with `_next_stirling_row`, from S(0,0)=1
-with S(a,0)=0 for a >= 1; the identity and `bell_number` step the weighted
-Bell triangle per call with `_next_bell_row`.
+with S(a,0)=0 for a >= 1, and keeps each row only up to S(a, k); the
+identity and `bell_number` step the weighted Bell triangle per call with
+`_next_bell_row`.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ class CountContext:
 
 
 def _next_stirling_row(prev: list[int]) -> list[int]:
-    """Row S(a, 0..a) from row S(a-1, 0..a-1) by S(a, j) = j S(a-1, j) + S(a-1, j-1)."""
+    """Row S(a, 0..a) from row S(a-1, 0..a-1) by S(a, j) = j S(a-1, j) + S(a-1, j-1).
+    From a row cut at S(a-1, k), entries 0..k are still S(a, 0..k)."""
     return [0, *map(add, map(mul, range(1, len(prev)), prev[1:]), prev), prev[-1]]
 
 

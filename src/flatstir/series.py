@@ -13,15 +13,17 @@ Two concrete generating functions live here:
 
   * egf_flattened(k):  exp((k-1) z + (exp(kz) - 1)/k); entry n counts the
     flattened words of order n+1.
-  * descent_egf(k):  (t(e^z-1)+1)^(k-1) * exp(z + sum_j k!/(k-j)! H_j t^j)
-    with H_j = sum_n S(n-1, j) z^n / n!; entry n is the descent polynomial
-    over flattened words of order n+1.  Its Stirling rows are stepped per
-    call by `counting._next_stirling_row`; no memo keeps them.
+  * descent_egf(k):  u^(k-1) * exp(integral_0^z u^k) with u = 1 + t(e^z - 1),
+    the paper's (t(e^z-1)+1)^(k-1) * exp(z + sum_j (k)_j H_j t^j) with
+    H_j = sum_n S(n-1, j) z^n / n!; entry n is the descent polynomial over
+    flattened words of order n+1.  Entry n of u^m is sum_j (m)_j S(n, j) t^j,
+    so one Stirling row per order, stepped by `counting._next_stirling_row`
+    and cut at S(n, k), gives both weight and exponent; no memo keeps them.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from itertools import accumulate
 from operator import add, mul
 from typing import Sequence
 
@@ -167,21 +169,21 @@ def egf_flattened(k: int, order: int, ctx: CountContext | None = None) -> EgfSer
 def descent_egf(k: int, order: int) -> EgfSeries:
     """The bivariate EGF of descent polynomials over flattened words.
 
-    (t(e^z - 1) + 1)^(k-1) * exp(z + sum_{j=1}^{k} k!/(k-j)! H_j(z) t^j);
-    entry n is the descent polynomial at order n+1.  The exponent has
-    entries A_n = [n=1] + sum_j k!/(k-j)! S(n-1, j) t^j, and the weight has
-    entries sum_j C(k-1, j) j! S(n, j) t^j.  Both read S(n, j) = 0 for j > n.
+    u^(k-1) * exp(integral_0^z u^k) with u = 1 + t(e^z - 1); entry n is the
+    descent polynomial at order n+1.  Entry n of u^m is sum_j (m)_j S(n, j) t^j
+    over j <= min(n, m): the weight's entry n at m = k-1, the exponent's entry
+    n+1 at m = k, whose j = 0 term [n = 0] is the paper's lone z.  As j <= n,
+    each descent count at order n+1 is a polynomial in k of degree <= n.
     """
     _check_k_order(k, order)
-    choose = [comb(k - 1, j) * factorial(j) for j in range(k)]
-    falling = [factorial(k) // factorial(k - j) for j in range(1, k + 1)]
-    weight, exponent, row = [], [()], [1]  # row is S(n, 0..n)
+    # the falling factorials (m)_0..(m)_min(m, order) at m = k-1 and m = k
+    lower, upper = ([1, *accumulate(range(m, max(m - order, 0), -1), mul)] for m in (k - 1, k))
+    weight, exponent, row = [], [()], [1]  # row is S(n, 0..min(n, k))
     for n in range(order + 1):
-        s = row + [0] * k
-        weight.append(tuple(map(mul, choose, s)))
-        if n < order:  # exponent entry n+1 reads S(n, 1..k)
-            exponent.append((int(n == 0), *map(mul, falling, s[1:])))
-            row = _next_stirling_row(row)
+        weight.append(tuple(map(mul, lower, row)))
+        if n < order:  # exponent entry n+1 is entry n of u^k
+            exponent.append(tuple(map(mul, upper, row)))
+            row = _next_stirling_row(row)[: k + 1]
     return EgfSeries(tuple(weight)) * EgfSeries(tuple(exponent)).exp()
 
 

@@ -125,22 +125,13 @@ def _expect(condition: bool, message: str) -> None:
 
 
 def _check_totals(state: _State) -> str:
-    recurrence = counting.flattened_totals(2, len(REFERENCE_TOTALS_K2))
-    for n, expected in REFERENCE_TOTALS_K2.items():
-        rec = recurrence[n - 1]
-        ident = counting.count_flattened_identity(n, 2)
-        _expect(rec == expected, f"recurrence({n},2)={rec}, reference {expected}")
-        _expect(ident == expected, f"identity({n},2)={ident}, reference {expected}")
-    egf = series.egf_flattened(2, 9)
-    for n in range(10):
-        coeff = egf.egf_coefficient(n)
-        _expect(
-            coeff == REFERENCE_TOTALS_K2[n + 1],
-            f"egf coefficient at order {n + 1} is {coeff}",
-        )
     for k in range(1, 7):
         series_route = series.egf_flattened(k, 24)
-        for n, rec in enumerate(counting.flattened_totals(k, 25), start=1):
+        totals = counting.flattened_totals(k, 25)
+        if k == 2:
+            reference = list(REFERENCE_TOTALS_K2.values())
+            _expect(totals[:10] == reference, f"k=2 totals {totals[:10]}, reference {reference}")
+        for n, rec in enumerate(totals, start=1):
             ident = counting.count_flattened_identity(n, k)
             _expect(rec == ident, f"recurrence/identity disagree at n={n}, k={k}")
             _expect(

@@ -244,14 +244,26 @@ class TestRunCounts:
             assert len(row) == max_runs_bound(n, 2)  # the bound is attained
             assert count_max_runs_k2(n) == row[-1]
 
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 32))
     def test_two_and_three_runs_vs_descent_egf(self, k):
-        # runs = descents + 1: entry n-1 of the descent EGF is the run refinement
+        # runs = descents + 1: entry n-1 of the descent EGF is the run refinement.
+        # Each side is a polynomial in k of degree <= n-1 <= 30 (the degree lemma
+        # in `descent_egf`), so agreement at k = 1..31 holds for every k.
         egf = descent_egf(k, 30)
-        for n in range(1, 32):
+        for n, total in enumerate(flattened_totals(k, 31), start=1):
             row = egf.coeffs[n - 1]
             assert count_runs_2(n, k) == (row[1] if len(row) >= 2 else 0), n
             assert count_runs_3(n, k) == (row[2] if len(row) >= 3 else 0), n
+            assert sum(row) == total, n
+
+    def test_descent_counts_are_polynomials_in_k_of_degree_at_most_n(self):
+        """At order n+1 the (n+1)-th difference over k = 1..n+2 vanishes."""
+        rows = [descent_egf(k, 9).coeffs for k in range(1, 12)]
+        for n in range(10):
+            for j in range(n + 1):
+                values = [r[n][j] if j < len(r[n]) else 0 for r in rows[: n + 2]]
+                diff = sum((-1) ** (n + 1 - i) * comb(n + 1, i) * v for i, v in enumerate(values))
+                assert diff == 0, (n, j)
 
     def test_max_runs_vs_descent_egf(self):
         egf = descent_egf(2, 59)

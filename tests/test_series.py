@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -7,6 +8,9 @@ from flatstir import (
     DomainError,
     EgfSeries,
     IntPolynomial,
+    count_flattened_dobinski,
+    count_runs_2,
+    count_runs_3,
     descent_egf,
     egf_flattened,
     extract_descent_polynomial,
@@ -222,6 +226,21 @@ class TestDescentEgf:
     def test_degree_is_descent_maximum(self, n, k):
         poly = extract_descent_polynomial(descent_egf(k, n - 1), n - 1)
         assert poly.degree == max_runs_bound(n, k) - 1
+
+    def test_large_k_costs_what_the_order_does(self):
+        """No table of k factorials or k-padded rows: k = 1000 at order 3 is small."""
+        tracemalloc.start()
+        try:
+            egf = descent_egf(1000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # tables of k factorials would take over 1 MiB here
+        for n in range(1, 5):
+            row = egf.coeffs[n - 1] + (0, 0)
+            assert row[1] == count_runs_2(n, 1000), n
+            assert row[2] == count_runs_3(n, 1000), n
+            assert sum(row) == count_flattened_dobinski(n, 1000), n
 
     def test_extract_constant(self):
         assert extract_descent_polynomial(descent_egf(3, 0), 0).coeffs == (1,)
