@@ -20,8 +20,8 @@ _EXPORTS = {
                  "count_max_runs_k2", "count_runs_2", "count_runs_3", "count_table",
                  "max_runs_bound", "predicted_stirling_count", "run_distribution_bruteforce"),
     "enumeration": ("gen_flattened", "gen_gcp", "gen_stirling"),
-    "errors": ("AlignmentError", "BFileParseError", "BudgetExceededError", "ConvergenceError",
-               "DomainError", "FlatstirError", "MalformedPartitionError", "MalformedWordError",
+    "errors": ("BFileError", "BudgetExceededError", "ConvergenceError", "DomainError",
+               "FlatstirError", "MalformedPartitionError", "MalformedWordError",
                "NotFlattenedError", "NotStirlingError", "PartitionRuleError"),
     "oeis": ("CrossCheckReport", "cross_check"),
     "partitions": ("ColoredPartition", "block_descent_count", "parse_partition"),

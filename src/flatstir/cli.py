@@ -2,9 +2,9 @@
 
 All results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification mismatch or series term cap hit, 2 usage error, 3 budget
-exceeded or out of memory, 4 unusable sequence data in `oeis` or `verify`:
-a fetched or saved b-file that does not parse, align or reach `--max-n`
-(`error: data:`, then its URL or path).
+exceeded or out of memory, 4 unusable sequence data in `oeis` or `verify`
+(`BFileError`, whose docstring lists the causes), printed as `error: data:`
+and the b-file's URL or path.
 
 A module that only some commands use is imported where it is used: the
 standard library's `fractions`, `decimal` and `json`, and each of
@@ -34,8 +34,7 @@ from operator import methodcaller
 from typing import TYPE_CHECKING
 
 from .errors import (
-    AlignmentError,
-    BFileParseError,
+    BFileError,
     BudgetExceededError,
     ConvergenceError,
     DomainError,
@@ -80,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("budget", exc, EXIT_RESOURCE)
     except MemoryError as exc:
         return _fail("resource", str(exc) or "out of memory", EXIT_RESOURCE)
-    except (AlignmentError, BFileParseError) as exc:
+    except BFileError as exc:
         return _fail("data", exc, EXIT_DATA)
     except ConvergenceError as exc:
         # the series route hit its term cap: no certified answer

@@ -45,11 +45,8 @@ class ConvergenceError(FlatstirError, RuntimeError):
     """A numeric series evaluation failed to converge within its term cap."""
 
 
-class BFileParseError(FlatstirError, ValueError):
-    """A saved b-file could not be read, or a b-file line could not be
-    parsed; a parse message carries the line number."""
-
-
-class AlignmentError(FlatstirError, RuntimeError):
-    """A b-file cannot be set against the computed terms: its first three
-    appear nowhere in it, or it ends before the largest order asked for."""
+class BFileError(FlatstirError, ValueError):
+    """Unusable sequence data: a saved b-file that cannot be read, a line that
+    does not parse, an index that is not the previous one plus 1, no data rows,
+    first three computed terms that appear nowhere, or a file that ends before
+    `max_n`.  `cross_check` puts the path or URL first; `oeis` and `verify` exit 4."""

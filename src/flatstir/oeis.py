@@ -12,9 +12,8 @@ the derivative triangle: two different derivations, and no unverified data.
 
 Every row of a report is compared.  The index offset of fetched data is
 found on every run: the first shift where the first three computed terms
-appear.  A saved b-file that cannot be read, or a b-file that does not
-parse, skips or repeats an index, does not align, or ends before the
-largest order asked for, raises an error that starts with its path or URL.
+appear.  A b-file that cannot be used raises `BFileError` (see its
+docstring for every cause), with its path or URL first.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import NamedTuple
 
 from . import series
 from .counting import flattened_totals
-from .errors import AlignmentError, BFileParseError, DomainError
+from .errors import BFileError, DomainError
 
 SEQUENCE_BY_K = {2: "A007405", 3: "A355164", 4: "A355167"}
 _FETCH_TIMEOUT = 10.0  # a b-file fetch's socket timeout, in seconds
@@ -41,25 +40,24 @@ def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
             continue
         parts = stripped.split()
         if len(parts) != 2:
-            raise BFileParseError(f"line {lineno}: expected 'index value', got {line!r}")
+            raise BFileError(f"line {lineno}: expected 'index value', got {line!r}")
         try:
             index, value = int(parts[0]), int(parts[1])
         except ValueError:
-            raise BFileParseError(f"line {lineno}: non-integer field in {line!r}") from None
+            raise BFileError(f"line {lineno}: non-integer field in {line!r}") from None
         if rows and index != rows[-1][0] + 1:
             previous = rows[-1][0]
-            raise BFileParseError(f"line {lineno}: index {index} does not follow index {previous}")
+            raise BFileError(f"line {lineno}: index {index} does not follow index {previous}")
         rows.append((index, value))
     if not rows:
-        raise BFileParseError("b-file contains no data rows")
+        raise BFileError("b-file contains no data rows")
     return tuple(rows)
 
 
 def _fetch(sequence_id: str, cache_dir: str | None, offline: bool) -> tuple[str, str, str] | None:
     """(source, path or URL, text) of a b-file from the network, else from a
     file the user saved in `cache_dir` (if one is named); None when neither
-    has the data.  A saved file that exists but cannot be read as UTF-8 text
-    raises `BFileParseError` naming its path."""
+    has the data.  A saved file that cannot be read raises `BFileError`."""
     name = f"b{sequence_id[1:]}.txt"
     if not offline:
         import urllib.error  # local import: only a fetch pays for the HTTP stack
@@ -80,9 +78,9 @@ def _fetch(sequence_id: str, cache_dir: str | None, offline: bool) -> tuple[str,
         except (FileNotFoundError, NotADirectoryError):
             pass  # nothing saved: the caller uses the exponential formula
         except OSError as exc:
-            raise BFileParseError(f"{cache_path}: cannot be read: {exc.strerror}") from None
+            raise BFileError(f"{cache_path}: cannot be read: {exc.strerror}") from None
         except UnicodeDecodeError as exc:
-            raise BFileParseError(
+            raise BFileError(
                 f"{cache_path}: cannot be read: not UTF-8 ({exc.reason} at byte {exc.start})"
             ) from None
     return None
@@ -135,12 +133,12 @@ def cross_check(
             values = tuple(v for _, v in parse_bfile(text))
             shift = _align(computed[:3], values)
             if shift + max_n >= len(values):
-                raise AlignmentError(
+                raise BFileError(
                     f"holds {len(values) - shift} terms from shift {shift}; "
                     f"max_n = {max_n} needs {max_n + 1}"
                 )
-        except (BFileParseError, AlignmentError) as exc:
-            raise type(exc)(f"{where}: {exc}") from None
+        except BFileError as exc:
+            raise BFileError(f"{where}: {exc}") from None
     expected = values[shift : shift + max_n + 1]
     rows = tuple(CheckRow(n, c, e, c == e) for n, (c, e) in enumerate(zip(computed, expected)))
     return CrossCheckReport(k, sequence_id, source, shift, rows)
@@ -151,4 +149,4 @@ def _align(head: list[int], values: tuple[int, ...]) -> int:
     for shift in range(len(values) - len(head) + 1):
         if tuple(values[shift : shift + len(head)]) == tuple(head):
             return shift
-    raise AlignmentError(f"computed terms {head} not found in the fetched prefix")
+    raise BFileError(f"computed terms {head} not found in the fetched prefix")

@@ -5,8 +5,10 @@ closed forms against enumeration, series coefficients against recurrences,
 bijection round trips against identity.  The CLI `verify` subcommand runs
 them all and fails on any mismatch.
 
-Reference constants below are regression anchors; every one of them is
-recomputed from scratch by the brute-force oracle inside these checks.
+Reference constants below are regression anchors.  At the default
+`--max-n 8` the walks recompute all but `REFERENCE_STIRLING_TOTALS_K2` at
+n = 7, 8 (product formula only), `REFERENCE_TOTALS_K2` at n = 9, 10 (count
+routes only) and `REFERENCE_DESCENT_POLYS` at (5, 4) (descent EGF only).
 A check over a range of orders reads its totals from one triangle pass per
 k.  Checks share one memo, of brute-force run tallies by (n, k): the run
 refinement, the run-count closed forms and the descent polynomials (the
@@ -19,7 +21,8 @@ fixed size, at most |Q_8^2|, far under the generators' default cap.
 sequence check stays offline, and the directory it reads saved b-files
 from (the CLI passes `FLATSTIR_CACHE_DIR`; None reads none); its second
 pass names no directory, so it compares with the exponential formula.
-Unusable sequence data is not a failed check: it propagates, as from `oeis`.
+Unusable sequence data (see `BFileError`) is not a failed check: it
+propagates, as from `oeis`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import time
 from typing import Callable, NamedTuple
 
 from . import analysis, bijection, counting, enumeration, oeis, series, words
-from .errors import AlignmentError, BFileParseError, NotFlattenedError
+from .errors import BFileError, NotFlattenedError
 from .partitions import block_descent_count, parse_partition
 from .words import parse_word
 
@@ -110,7 +113,7 @@ def run_verification(limits: VerifyLimits | None = None) -> list[CheckResult]:
         try:
             detail = fn(state)
             ok = True
-        except (AlignmentError, BFileParseError):
+        except BFileError:
             raise  # unusable data, not a failed check
         except Exception as exc:  # a failed expectation or a crash both fail the check
             detail = f"{type(exc).__name__}: {exc}"
@@ -322,7 +325,7 @@ def _check_properties(state: _State) -> str:
     for k in range(1, 4):
         for n in range(1, min(state.limits.max_n, 6) + 1):
             bound = counting.max_runs_bound(n, k)
-            seen_runs = 0
+            seen_runs = walked = 0
             for w in enumeration.gen_stirling(n, k):
                 # per-object checks build their message only on failure
                 s, flattened = words._flattened_stats(w)
@@ -330,12 +333,15 @@ def _check_properties(state: _State) -> str:
                     raise AssertionError("runs != descents + 1")
                 if s.descents + s.plateaus + s.ascents != n * k - 1:
                     raise AssertionError("descents + plateaus + ascents != nk - 1")
-                total_words += 1
+                walked += 1
                 if flattened:
                     if s.runs > bound:
                         raise AssertionError(f"run bound violated at n={n}, k={k}")
                     seen_runs = max(seen_runs, s.runs)
+            want = counting.predicted_stirling_count(n, k)
+            _expect(walked == want, f"walked {walked} words of Q_{n}^{k}, predicted {want}")
             _expect(seen_runs == bound, f"run bound not attained at n={n}, k={k}")
+            total_words += walked
     return f"statistic identities hold on {total_words} enumerated words"
 
 

@@ -114,6 +114,27 @@ class TestTotals:
     def test_dobinski_equals_recurrence_at_large_n(self, k):
         assert count_flattened_dobinski(600, k) == count_flattened_recurrence(600, k)
 
+    def test_other_routes_hold_for_every_k_at_orders_up_to_31(self):
+        """At order n the triangle, the identity and the EGF entry are
+        polynomials in k of degree <= n-1: the triangle sums descent counts
+        (the degree lemma in `descent_egf`), the identity's terms have degree
+        i + (n-1-i-r), and EGF entry n-1 sums products of exponent entries A_j,
+        each of degree <= j, over the blocks of partitions of n-1 elements.
+        So agreement at k = 1..n proves the identity and the EGF route for
+        every k at order n.  The finite Dobinski sum is N(k) / (k^(n-1) (n-1)!),
+        whose numerator N has degree <= 2(n-1); N(k) - k^(n-1) (n-1)! total(k)
+        then vanishes at k = 1..2n-1, so it is 0 and the sum holds for every k.
+        """
+        for k in range(1, 62):
+            totals = flattened_totals(k, 31)
+            egf = egf_flattened(k, 30) if k <= 31 else None
+            for n in range((k + 2) // 2, 32):  # the orders n <= 31 with k <= 2n-1
+                total = totals[n - 1]
+                assert count_flattened_dobinski(n, k) == total, (n, k)
+                if k <= n:
+                    assert count_flattened_identity(n, k) == total, (n, k)
+                    assert egf.egf_coefficient(n - 1) == total, (n, k)
+
     def test_identity_memory_is_linear(self):
         """One Stirling row at a time: no triangle in memory."""
         tracemalloc.start()

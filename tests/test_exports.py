@@ -7,11 +7,11 @@ import pytest
 import flatstir
 
 EXPORTED = [
-    "AlignmentError", "BFileParseError", "BudgetExceededError", "ColoredPartition",
-    "ConvergenceError", "CountContext", "CountTable", "CountTableRow", "CrossCheckReport",
-    "DEFAULT_BUDGET", "DomainError", "EgfSeries", "FlatstirError", "IntPolynomial",
-    "MalformedPartitionError", "MalformedWordError", "NotFlattenedError", "NotStirlingError",
-    "PartitionRuleError", "StirlingWord", "WordStats", "bell_number", "block_descent_count",
+    "BFileError", "BudgetExceededError", "ColoredPartition", "ConvergenceError",
+    "CountContext", "CountTable", "CountTableRow", "CrossCheckReport", "DEFAULT_BUDGET",
+    "DomainError", "EgfSeries", "FlatstirError", "IntPolynomial", "MalformedPartitionError",
+    "MalformedWordError", "NotFlattenedError", "NotStirlingError", "PartitionRuleError",
+    "StirlingWord", "WordStats", "bell_number", "block_descent_count",
     "conjecture_report", "count_flattened_dobinski", "count_flattened_identity",
     "count_flattened_recurrence", "count_flattened_series_approx", "count_max_runs_k2",
     "count_runs_2", "count_runs_3", "count_table", "cross_check", "descent_egf",

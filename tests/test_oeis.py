@@ -4,9 +4,9 @@ import urllib.error
 import pytest
 
 from flatstir import (
-    AlignmentError,
-    BFileParseError,
+    BFileError,
     DomainError,
+    FlatstirError,
     cross_check,
 )
 from flatstir.counting import flattened_totals
@@ -44,23 +44,23 @@ class TestParse:
         assert parse_bfile("-1 5\n0 7\n") == ((-1, 5), (0, 7))
 
     def test_bad_line_reports_number(self):
-        with pytest.raises(BFileParseError, match="line 3"):
+        with pytest.raises(BFileError, match="line 3"):
             parse_bfile("0 1\n1 2\nbroken line here\n")
 
     def test_non_integer(self):
-        with pytest.raises(BFileParseError, match="line 1"):
+        with pytest.raises(BFileError, match="line 1"):
             parse_bfile("zero one\n")
 
     def test_empty(self):
-        with pytest.raises(BFileParseError):
+        with pytest.raises(BFileError):
             parse_bfile("# nothing\n")
 
     def test_missing_index_names_the_line(self):
-        with pytest.raises(BFileParseError, match="^line 5: index 4 does not follow index 2$"):
+        with pytest.raises(BFileError, match="^line 5: index 4 does not follow index 2$"):
             parse_bfile("# gap\n0 1\n1 2\n2 6\n4 116\n")
 
     def test_repeated_index_names_the_line(self):
-        with pytest.raises(BFileParseError, match="^line 4: index 1 does not follow index 1$"):
+        with pytest.raises(BFileError, match="^line 4: index 1 does not follow index 1$"):
             parse_bfile("0 1\n1 2\n\n1 2\n2 6\n")
 
 
@@ -119,18 +119,18 @@ class TestFetch:
         assert got.all_match
 
     @pytest.mark.parametrize(
-        "text,error,message",
+        "text,message",
         [
-            ("0 1\n1 two\n", BFileParseError, "line 2: non-integer field in '1 two'"),
-            (fake_bfile_text([5, 5, 5, 5, 5]), AlignmentError, "computed terms [1, 2, 6] not found"),
+            ("0 1\n1 two\n", "line 2: non-integer field in '1 two'"),
+            (fake_bfile_text([5, 5, 5, 5, 5]), "computed terms [1, 2, 6] not found"),
         ],
         ids=["unparseable", "unaligned"],
     )
-    def test_fetched_data_errors_name_the_url(self, tmp_path, monkeypatch, text, error, message):
-        # a saved b-file's errors name its path (test_cli's TestOeis)
+    def test_fetched_data_errors_name_the_url(self, tmp_path, monkeypatch, text, message):
+        # a saved b-file's errors name its path (test_saved_bfile_errors_name_the_path)
         monkeypatch.setattr("urllib.request.urlopen", lambda url, timeout=None:
                             _FakeResponse(text.encode()))
-        with pytest.raises(error) as fetched:
+        with pytest.raises(BFileError) as fetched:
             cross_check(2, 5, cache_dir=str(tmp_path))
         url = "https://oeis.org/A007405/b007405.txt"
         assert str(fetched.value).startswith(f"{url}: {message}")
@@ -184,7 +184,7 @@ class TestCrossCheck:
 
     def test_unalignable_data_raises(self, tmp_path):
         (tmp_path / "b007405.txt").write_text(fake_bfile_text([5, 5, 5, 5, 5]))
-        with pytest.raises(AlignmentError):
+        with pytest.raises(BFileError):
             cross_check(2, 5, offline=True, cache_dir=str(tmp_path))
 
     def test_mismatch_reported_not_raised(self, tmp_path):
@@ -210,9 +210,41 @@ class TestCrossCheck:
         # a row that cannot be compared is refused, not printed as missing
         path = tmp_path / "b007405.txt"
         path.write_text(fake_bfile_text(K2_PREFIX[:4]))
-        with pytest.raises(AlignmentError) as short:
+        with pytest.raises(BFileError) as short:
             cross_check(2, 6, offline=True, cache_dir=str(tmp_path))
         assert str(short.value) == f"{path}: holds 4 terms from shift 0; max_n = 6 needs 7"
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ("0 1\n1\n", "line 2: expected 'index value', got '1'"),
+            ("0 1\n1 two\n", "line 2: non-integer field in '1 two'"),
+            ("0 1\n1 2\n3 6\n", "line 3: index 3 does not follow index 1"),
+            ("0 1\n1 2\n1 2\n", "line 3: index 1 does not follow index 1"),
+            ("# nothing\n", "b-file contains no data rows"),
+            (b"0 1\n1 \xff\n", "cannot be read: not UTF-8 (invalid start byte at byte 6)"),
+            (None, "cannot be read: "),  # a directory where the file should be
+            (fake_bfile_text([5, 5, 5, 5, 5]), "computed terms [1, 2, 6] not found"),
+            (fake_bfile_text(K2_PREFIX[:4]), "holds 4 terms from shift 0; max_n = 9 needs 10"),
+        ],
+        ids=["one-field", "non-integer", "skipped-index", "repeated-index", "no-rows",
+             "not-utf8", "directory", "unaligned", "short"],
+    )
+    def test_unusable_saved_bfile_raises_one_error_naming_the_path(
+        self, tmp_path, content, message
+    ):
+        # every cause is one class, a ValueError, with the file's path first
+        path = tmp_path / "b007405.txt"
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        with pytest.raises(BFileError) as unusable:
+            cross_check(2, 9, offline=True, cache_dir=str(tmp_path))
+        assert isinstance(unusable.value, FlatstirError) and isinstance(unusable.value, ValueError)
+        assert str(unusable.value).startswith(f"{path}: {message}")
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_no_data_compares_every_order_asked_for(self, k, tmp_path):

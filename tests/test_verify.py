@@ -12,8 +12,8 @@ from flatstir.partitions import ColoredPartition
 from flatstir.words import StirlingWord, parse_word
 
 
-def _details(tmp_path):
-    limits = verify.VerifyLimits(max_n=2, offline_oeis=True, cache_dir=str(tmp_path))
+def _details(tmp_path, max_n=2):
+    limits = verify.VerifyLimits(max_n=max_n, offline_oeis=True, cache_dir=str(tmp_path))
     return {r.name: (r.ok, r.detail) for r in verify.run_verification(limits)}
 
 
@@ -81,4 +81,19 @@ def test_non_stirling_enumerated_word_fails_the_properties(tmp_path, monkeypatch
         False,
         "NotStirlingError: word is not a k-Stirling permutation: a letter smaller "
         "than i occurs between two consecutive copies of i",
+    )
+
+
+def test_a_dropped_stirling_word_fails_the_walk_count(tmp_path, monkeypatch):
+    # every identity holds word by word; only the walk's size can show the loss
+    gen = enumeration.gen_stirling
+
+    def losing_one_of_q42(n, k, **kw):
+        words = gen(n, k, **kw)
+        return islice(words, 1, None) if (n, k) == (4, 2) else words
+
+    monkeypatch.setattr(enumeration, "gen_stirling", losing_one_of_q42)
+    details = _details(tmp_path, max_n=4)
+    assert details["statistic-properties"] == (
+        False, "AssertionError: walked 104 words of Q_4^2, predicted 105"
     )
